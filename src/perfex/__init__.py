@@ -17,7 +17,6 @@ from .dataset import (
     PredictionTable,
     SubsetView,
     load_table,
-    split_rows,
     stratified_split,
     write_csv,
 )
@@ -47,7 +46,6 @@ from .splitter import (
     SplitResult,
     best_split,
     candidate_thresholds,
-    enumerate_candidates,
 )
 from .synth import (
     AxisThresholdClassifier,
@@ -120,7 +118,6 @@ __all__ = [
     "candidate_thresholds",
     "default_phrase",
     "deserialize_tree",
-    "enumerate_candidates",
     "evaluate_metric",
     "evaluate_tree",
     "flip_labels",
@@ -136,7 +133,6 @@ __all__ = [
     "render",
     "serialize_tree",
     "split_dataset",
-    "split_rows",
     "stratified_split",
     "summarize_path",
     "two_gaussian_classifier",

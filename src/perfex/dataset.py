@@ -357,34 +357,6 @@ class SubsetView:
         return self.table.column(j)[self.indices]
 
 
-def split_rows(view: SubsetView, feature: int, value) -> tuple[SubsetView, SubsetView]:
-    """Partition ``view`` on one feature condition, preserving row order.
-
-    Numeric and binary features split on ``x <= value`` (left) versus
-    ``x > value`` (right); categorical features split on ``x == value``
-    versus ``x != value``.
-    """
-    table = view.table
-    feat = table.schema.features[feature]
-    col = view.column(feature)
-    if feat.kind == CATEGORICAL:
-        if not isinstance(value, str):
-            raise ValueError("categorical split needs a category string")
-        try:
-            code = feat.categories.index(value)
-        except ValueError:
-            raise ValueError(
-                f"value {value!r} is not a category of {feat.name!r}"
-            ) from None
-        mask = col == code
-    else:
-        value = float(value)
-        mask = col <= value
-    left = SubsetView(table, view.indices[mask])
-    right = SubsetView(table, view.indices[~mask])
-    return left, right
-
-
 # -- CSV loading ----------------------------------------------------------
 
 
@@ -404,7 +376,8 @@ def _parse_float(cell: str, row: int, column: str) -> float:
 
 def _looks_numeric(cell: str) -> bool:
     try:
-        return math.isfinite(float(cell))
+        float(cell)
+        return True
     except ValueError:
         return False
 
@@ -412,7 +385,9 @@ def _looks_numeric(cell: str) -> bool:
 def _infer_schema(names, raw_columns) -> FeatureSchema:
     # Inference rule: all-numeric columns whose distinct values sit inside
     # {0, 1} are binary, columns with any non-numeric cell are categorical,
-    # everything else is numeric.
+    # everything else is numeric.  "nan" and "inf" count as numeric, so a
+    # non-finite cell is rejected by _parse_float rather than read as a
+    # category.
     features = []
     for name, col in zip(names, raw_columns):
         if all(_looks_numeric(c) for c in col):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, PredictionTable, SubsetView
+from .dataset import CATEGORICAL, Feature, SubsetView
 from .metrics import MetricSpec, MetricValue, evaluate_indices
 
 BETA_TIE_TOLERANCE = 1e-12
@@ -41,6 +41,27 @@ class SplitCandidate:
     feature: int
     kind: str
     value: float | str
+
+    def left_mask(self, values: np.ndarray, feature: Feature) -> np.ndarray:
+        """Which of ``values`` go left: the routing rule for every split.
+
+        ``values`` are stored values of column ``self.feature`` (floats, or
+        category codes if categorical) and ``feature`` is its schema entry.
+        Rows exactly at a numeric threshold go left.  Raises ValueError when
+        the condition does not fit the feature.
+        """
+        if feature.kind != CATEGORICAL:
+            if self.kind == "le":
+                return values <= self.value
+        elif self.kind == "eq":
+            if self.value not in feature.categories:
+                raise ValueError(
+                    f"value {self.value!r} is not a category of {feature.name!r}"
+                )
+            return values == feature.categories.index(self.value)
+        raise ValueError(
+            f"split kind {self.kind!r} does not fit {feature.kind} feature {feature.name!r}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,50 +122,27 @@ def candidate_thresholds(values: np.ndarray, max_thresholds: int | None = None) 
     return np.unique(np.array(picks))
 
 
-def enumerate_candidates(view: SubsetView, config: SearchConfig | None = None) -> list[SplitCandidate]:
-    """All conditions the search would consider for ``view``, in search order."""
-    config = config or SearchConfig()
-    out = []
-    schema = view.table.schema
-    for j, feature in enumerate(schema.features):
-        col = view.column(j)
-        if feature.kind == CATEGORICAL:
-            for code in np.unique(col):
-                out.append(SplitCandidate(j, "eq", feature.categories[int(code)]))
-        else:
-            for v in candidate_thresholds(col, config.max_thresholds):
-                out.append(SplitCandidate(j, "le", float(v)))
-    return out
+def _candidates(view: SubsetView, config: SearchConfig):
+    """Every condition the search considers for ``view``, in search order.
 
-
-def _feature_blocks(view: SubsetView, config: SearchConfig):
-    """Per-feature candidate blocks with the column slice prepared once.
-
-    Yields ``(feature, kind, column, pairs)`` where each pair is
-    ``(public_value, comparison_value, left_count)``; ``left_count`` lets the
-    alpha check run before any mask is built.
+    Yields ``(candidate, column, left_count)``.  ``column`` is the view's
+    slice of the candidate's feature column, taken once per feature;
+    ``left_count`` lets the alpha check run before any mask is built.
     """
-    schema = view.table.schema
-    for j, feature in enumerate(schema.features):
+    for j, feature in enumerate(view.table.schema.features):
         col = view.column(j)
+        uniq, counts = np.unique(col, return_counts=True)
         if feature.kind == CATEGORICAL:
-            codes, counts = np.unique(col, return_counts=True)
-            pairs = [
-                (feature.categories[int(c)], int(c), int(cnt))
-                for c, cnt in zip(codes, counts)
-            ]
-            yield j, "eq", col, pairs
+            for code, count in zip(uniq, counts):
+                yield SplitCandidate(j, "eq", feature.categories[int(code)]), col, int(count)
         else:
-            uniq, counts = np.unique(col, return_counts=True)
             cum = np.cumsum(counts)
             thresholds = candidate_thresholds(col, config.max_thresholds)
             # Thresholds are values present in the column, so the row count
             # of the left side is the cumulative count at that value.
             at = np.searchsorted(uniq, thresholds, side="right") - 1
-            pairs = [
-                (float(v), float(v), int(cum[a])) for v, a in zip(thresholds, at)
-            ]
-            yield j, "le", col, pairs
+            for v, a in zip(thresholds, at):
+                yield SplitCandidate(j, "le", float(v)), col, int(cum[a])
 
 
 def best_split(
@@ -165,20 +163,16 @@ def best_split(
     if n == 0:
         raise ValueError("cannot split an empty view")
 
-    jobs = []
-    for j, kind, col, pairs in _feature_blocks(view, config):
-        for public, cmp_value, n_left in pairs:
-            n_right = n - n_left
-            if n_left < config.alpha or n_right < config.alpha:
-                continue
-            jobs.append((j, kind, col, public, cmp_value))
+    features = table.schema.features
+    jobs = [
+        (cand, col)
+        for cand, col, n_left in _candidates(view, config)
+        if n_left >= config.alpha and n - n_left >= config.alpha
+    ]
 
     def score(job):
-        j, kind, col, public, cmp_value = job
-        if kind == "eq":
-            mask = col == cmp_value
-        else:
-            mask = col <= cmp_value
+        cand, col = job
+        mask = cand.left_mask(col, features[cand.feature])
         e_left = evaluate_indices(metric, table, vidx[mask])
         e_right = evaluate_indices(metric, table, vidx[~mask])
         if not (e_left.defined and e_right.defined):
@@ -207,13 +201,10 @@ def best_split(
 
     if best is None:
         return None
-    (j, kind, col, public, cmp_value), e_left, e_right = best
-    if kind == "eq":
-        mask = col == cmp_value
-    else:
-        mask = col <= cmp_value
+    (cand, col), e_left, e_right = best
+    mask = cand.left_mask(col, features[cand.feature])
     return SplitResult(
-        SplitCandidate(j, kind, public),
+        cand,
         SubsetView(table, vidx[mask]),
         SubsetView(table, vidx[~mask]),
         e_left,

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .dataset import CATEGORICAL, ClassSet, FeatureSchema, PredictionTable
+from .dataset import ClassSet, FeatureSchema, PredictionTable
 from .errors import (
     EmptyTableError,
     SchemaMismatchError,
@@ -33,6 +33,7 @@ from .metrics import MetricSpec, MetricValue, evaluate, parse_metric
 from .splitter import SearchConfig, SplitCandidate, best_split
 
 FORMAT_VERSION = 1
+TOO_DEEP = "tree is nested too deeply"
 
 
 class MinSamples(NamedTuple):
@@ -137,46 +138,36 @@ class MetaTree:
     schema_fingerprint: str
     n_build: int
 
+    def _walk(self):
+        """Every node with its root-to-node path, in depth-first pre-order,
+        so leaves come in leaf-id order."""
+        stack: list[tuple[Node, tuple[PathStep, ...]]] = [(self.root, ())]
+        while stack:
+            node, path = stack.pop()
+            yield node, path
+            if isinstance(node, Internal):
+                c = node.candidate
+                stack.append((node.right, path + (PathStep(c.feature, c.kind, c.value, False),)))
+                stack.append((node.left, path + (PathStep(c.feature, c.kind, c.value, True),)))
+
     def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def walk(node: Node):
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+        return [node for node, _ in self._walk() if isinstance(node, Leaf)]
 
     @property
     def n_leaves(self) -> int:
         return len(self.leaves())
 
     def depth(self) -> int:
-        def walk(node: Node) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        return max(len(path) for _, path in self._walk())
 
     def leaf_stats(self) -> list[LeafStats]:
         """Per-leaf statistics with the root-to-leaf condition path, in
         leaf-id order."""
-        out: list[LeafStats] = []
-
-        def walk(node: Node, path: tuple[PathStep, ...]):
-            if isinstance(node, Leaf):
-                out.append(LeafStats(node.leaf_id, node.size, node.metric, path))
-                return
-            c = node.candidate
-            walk(node.left, path + (PathStep(c.feature, c.kind, c.value, True),))
-            walk(node.right, path + (PathStep(c.feature, c.kind, c.value, False),))
-
-        walk(self.root, ())
-        return out
+        return [
+            LeafStats(node.leaf_id, node.size, node.metric, path)
+            for node, path in self._walk()
+            if isinstance(node, Leaf)
+        ]
 
     def to_json(self) -> str:
         return serialize_tree(self)
@@ -249,11 +240,23 @@ def assign(tree: MetaTree, table: PredictionTable) -> np.ndarray:
     """Route every row of ``table`` to a leaf; returns the leaf id per row.
 
     The table must carry the same schema and classes the tree was built on
-    (checked via the stored fingerprint).  Rows exactly at a numeric
-    threshold go left.
+    (checked via the stored fingerprint), and every split must fit its
+    feature, else :class:`TreeFormatError` names the first node that does
+    not.  Rows exactly at a numeric threshold go left.
     """
     if schema_fingerprint(table.schema, table.classes) != tree.schema_fingerprint:
         raise SchemaMismatchError("table schema does not match the tree")
+    features = table.schema.features
+    for node, path in tree._walk():
+        if isinstance(node, Internal):
+            where = "".join(".left" if step.is_left else ".right" for step in path)
+            c = node.candidate
+            if not 0 <= c.feature < len(features):
+                raise TreeFormatError(f"feature index {c.feature} out of range in root{where}")
+            try:
+                c.left_mask(np.empty(0), features[c.feature])
+            except ValueError as exc:
+                raise TreeFormatError(f"{exc} in root{where}") from None
     out = np.empty(table.n, dtype=np.int64)
     stack: list[tuple[Node, np.ndarray]] = [
         (tree.root, np.arange(table.n, dtype=np.int64))
@@ -264,12 +267,7 @@ def assign(tree: MetaTree, table: PredictionTable) -> np.ndarray:
             out[idx] = node.leaf_id
             continue
         c = node.candidate
-        col = table.column(c.feature)[idx]
-        if c.kind == "eq":
-            feat = table.schema.features[c.feature]
-            mask = col == feat.categories.index(c.value)
-        else:
-            mask = col <= c.value
+        mask = c.left_mask(table.column(c.feature)[idx], features[c.feature])
         stack.append((node.left, idx[mask]))
         stack.append((node.right, idx[~mask]))
     return out
@@ -360,6 +358,8 @@ def deserialize_tree(text: str) -> MetaTree:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TreeFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise TreeFormatError(TOO_DEEP) from None
     if not isinstance(doc, dict):
         raise TreeFormatError("top level is not an object")
     version = _need(doc, "format_version", int, "document")
@@ -386,7 +386,10 @@ def deserialize_tree(text: str) -> MetaTree:
     fingerprint = _need(doc, "schema_fingerprint", str, "document")
     n_build = _need(doc, "n_build", int, "document")
     ids = itertools.count()
-    root = _node_from_doc(_need(doc, "root", dict, "document"), ids, "root")
+    try:
+        root = _node_from_doc(_need(doc, "root", dict, "document"), ids, "root")
+    except RecursionError:
+        raise TreeFormatError(TOO_DEEP) from None
     return MetaTree(
         root=root,
         metric=metric,

@@ -255,6 +255,44 @@ def test_exit_code_one_with_command_prefix(tmp_path):
     assert p.stderr.decode().startswith("perfex evaluate:")
 
 
+LEAF = {"leaf": {"id": 0, "size": 1, "value": 0.5, "support": 1}}
+
+
+def split_node(feature, kind, value, left=LEAF, right=LEAF):
+    return {"feature": feature, "kind": kind, "value": value,
+            "left": left, "right": right}
+
+
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        (split_node(0, "le", 2.5, left=split_node(7, "le", 0.0)),
+         "feature index 7 out of range in root.left"),
+        (split_node(0, "le", 2.5, right=split_node(1, "eq", "purple")),
+         "value 'purple' is not a category of 'color' in root.right"),
+        (split_node(1, "le", 0.0),
+         "split kind 'le' does not fit categorical feature 'color' in root"),
+    ],
+    ids=["feature-out-of-range", "unknown-category", "le-on-categorical"],
+)
+def test_evaluate_rejects_tree_that_does_not_fit_the_schema(tmp_path, root, message):
+    rows = "".join(f"{x},{c},a,{p}\n" for x, c, p in [
+        (1, "red", "a"), (2, "blue", "b"), (3, "red", "b"), (4, "blue", "a"),
+    ])
+    (tmp_path / "t.csv").write_text("x,color,__true__,__pred__\n" + rows)
+    p = run_cli(["fit", "--data", "t.csv", "--out", "fit.json", "--alpha", "1",
+                 "--interval-width", "1.0"], tmp_path)
+    assert p.returncode == 0, p.stderr
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    doc["root"] = root  # hand-edited, with the fitted schema fingerprint
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    p = run_cli(["evaluate", "--tree", "bad.json", "--build", "t.csv",
+                 "--test", "t.csv"], tmp_path)
+    assert p.returncode == 1
+    assert p.stderr.decode() == f"perfex evaluate: {message}\n"
+    assert b"Traceback" not in p.stderr
+
+
 def test_exit_code_two_on_argument_errors(tmp_path):
     assert run_cli([], tmp_path).returncode == 2
     assert run_cli(["fit", "--data", "x.csv", "--out", "t.json",

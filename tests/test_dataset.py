@@ -14,10 +14,10 @@ from perfex import (
     Feature,
     FeatureSchema,
     PredictionTable,
+    SplitCandidate,
     SubsetView,
     UnknownClassError,
     load_table,
-    split_rows,
     stratified_split,
 )
 from perfex.dataset import stratified_split_indices, table_to_csv_text
@@ -94,6 +94,16 @@ def test_load_errors_carry_1based_row():
     except UnknownClassError as exc:
         err = exc
     assert err is not None and err.row == 2
+
+
+def test_inferred_numeric_column_rejects_non_finite_cells():
+    # "nan" and "inf" parse as numbers, so the column stays numeric and the
+    # cell is rejected with its row instead of becoming a category.
+    csv_nan = b"x,__true__,__pred__\n1.0,a,a\nnan,a,b\n2.5,b,b\n3.0,b,a\n"
+    with pytest.raises(DataFormatError, match="row 2: non-finite value in column 'x'"):
+        load_table(csv_nan)
+    with pytest.raises(DataFormatError, match="row 3: non-finite"):
+        load_table(b"x,__true__,__pred__\n0,a,a\n1,a,b\n-inf,b,b\n")
 
 
 def test_load_header_contract():
@@ -186,13 +196,20 @@ def test_subset_view_contract():
     assert list(v.column(0)) == [-4.0, -1.0, 3.0]
 
 
+def split(table, feature, kind, value):
+    """Row indices each side of one condition, by the routing rule."""
+    cand = SplitCandidate(feature, kind, value)
+    mask = cand.left_mask(table.column(feature), table.schema.features[feature])
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
+
+
 def test_split_rows_at_boundary_goes_left():
     t = worked_example_table()
-    left, right = split_rows(t.full_view(), 0, -1.0)
+    left, right = split(t, 0, "le", -1.0)
     assert len(left) == 5 and len(right) == 5
-    assert list(left.column(0)) == [-5.0, -4.0, -3.0, -2.0, -1.0]
+    assert list(t.column(0)[left]) == [-5.0, -4.0, -3.0, -2.0, -1.0]
     # A threshold at or above the maximum sends everything left.
-    left, right = split_rows(t.full_view(), 0, 5.0)
+    left, right = split(t, 0, "le", 5.0)
     assert len(left) == 10 and len(right) == 0
 
 
@@ -200,13 +217,19 @@ def test_split_rows_categorical():
     t = make_table(
         "c", [["r", "r", "g", "g", "g", "b"]], ["a"] * 6, ["a", "b"] * 3
     )
-    left, right = split_rows(t.full_view(), 0, "g")
-    assert list(left.indices) == [2, 3, 4]
-    assert list(right.indices) == [0, 1, 5]
+    left, right = split(t, 0, "eq", "g")
+    assert list(left) == [2, 3, 4]
+    assert list(right) == [0, 1, 5]
     with pytest.raises(ValueError):
-        split_rows(t.full_view(), 0, "nope")
+        split(t, 0, "eq", "nope")
     with pytest.raises(ValueError):
-        split_rows(t.full_view(), 0, 1.5)
+        split(t, 0, "eq", 1.5)
+    # A threshold condition does not fit a categorical feature, nor a
+    # category condition a numeric one.
+    with pytest.raises(ValueError):
+        split(t, 0, "le", 1.5)
+    with pytest.raises(ValueError):
+        split(worked_example_table(), 0, "eq", "g")
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,11 +244,11 @@ def test_split_rows_categorical():
 def test_split_rows_is_a_partition(values, pivot):
     n = len(values)
     t = make_table("n", [values], ["a"] * n, ["a" if i % 2 else "b" for i in range(n)])
-    left, right = split_rows(t.full_view(), 0, pivot)
-    merged = sorted(list(left.indices) + list(right.indices))
+    left, right = split(t, 0, "le", pivot)
+    merged = sorted(list(left) + list(right))
     assert merged == list(range(n))
-    assert all(v <= pivot for v in left.column(0))
-    assert all(v > pivot for v in right.column(0))
+    assert all(v <= pivot for v in t.column(0)[left])
+    assert all(v > pivot for v in t.column(0)[right])
 
 
 def test_stratified_split_counts_and_determinism():

@@ -8,9 +8,9 @@ from perfex import (
     SearchConfig,
     best_split,
     candidate_thresholds,
-    enumerate_candidates,
 )
 from perfex.metrics import evaluate_indices
+from perfex.splitter import _candidates
 
 from tests._naive import naive_best_split, naive_thresholds, random_plain_table
 from tests._tables import WORKED_CORRECT, WORKED_Z, worked_example_table, make_table, plain_to_table
@@ -56,6 +56,10 @@ def test_candidate_thresholds_automatic_rule():
     assert list(capped) == naive_thresholds(list(uniq300))
 
 
+def candidate_list(view):
+    return [cand for cand, _, _ in _candidates(view, SearchConfig())]
+
+
 def test_enumeration_order_is_fixed():
     t = make_table(
         "nc",
@@ -63,16 +67,18 @@ def test_enumeration_order_is_fixed():
         ["a", "a", "b"],
         ["a", "b", "b"],
     )
-    cands = enumerate_candidates(t.full_view())
+    cands = candidate_list(t.full_view())
     assert [(c.feature, c.kind, c.value) for c in cands] == [
         (0, "le", 1.0),
         (0, "le", 2.0),
         (1, "eq", "u"),
         (1, "eq", "v"),
     ]
+    # Each candidate comes with the row count of its left side.
+    assert [n for _, _, n in _candidates(t.full_view(), SearchConfig())] == [1, 3, 2, 1]
     # Only categories present in the view are enumerated.
     sub = t.subset(np.array([0]))
-    cands = enumerate_candidates(sub.full_view())
+    cands = candidate_list(sub.full_view())
     assert [(c.feature, c.value) for c in cands] == [(0, 2.0), (1, "v")]
 
 

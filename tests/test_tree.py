@@ -334,6 +334,18 @@ def test_deserialize_rejects_malformed_documents():
         deserialize_tree("[1,2]")
 
 
+def test_deserialize_rejects_deeply_nested_tree():
+    t = worked_example_table()
+    doc = json.loads(serialize_tree(build_tree(t, ACC, LOOSE, alpha=1)))
+    doc["root"] = "ROOT"
+    leaf = '{"leaf":{"id":0,"size":1,"value":0.5,"support":1}}'
+    depth = 3000
+    root = '{"feature":0,"kind":"le","value":0.0,"left":' * depth + leaf
+    root += (',"right":' + leaf + "}") * depth
+    with pytest.raises(TreeFormatError, match="nested too deeply"):
+        deserialize_tree(json.dumps(doc).replace('"ROOT"', root))
+
+
 def test_leaf_stats_paths_in_leaf_id_order():
     t = worked_example_table()
     tree = build_tree(t, ACC, LOOSE, alpha=1)
