@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 on module errors (bad data, bad tree file,
 I/O problems; diagnostic on stderr), 2 on argument errors.  All output
 files are written atomically.  The ``PERFEX_THREADS`` environment variable
-caps how many worker threads the split search may use (default 1); results
-do not depend on it.
+must be an integer if set; the split search runs on one thread, so it
+changes nothing.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ClassSet, PredictionTable, SubsetView
+from .dataset import PredictionTable, SubsetView
 from .errors import MissingScoresError
 
 ACCURACY = "accuracy"
@@ -54,9 +54,6 @@ class MetricValue:
     @property
     def defined(self) -> bool:
         return self.value is not None
-
-
-_UNDEFINED = MetricValue(None, 0)
 
 
 @dataclass(frozen=True)
@@ -163,15 +160,126 @@ def parse_metric(text: str) -> MetricSpec:
     raise ValueError(f"unknown metric {text!r}")
 
 
-def _check_classes(spec: MetricSpec, classes: ClassSet) -> None:
-    if spec.class_label is not None and spec.class_label not in classes.labels:
-        raise ValueError(f"metric references unknown class {spec.class_label!r}")
-    for lbl in spec.class_subset:
-        if lbl not in classes.labels:
-            raise ValueError(f"metric references unknown class {lbl!r}")
-
-
 # -- evaluation -------------------------------------------------------------
+
+
+class MetricStats:
+    """A metric resolved against one table, as sufficient statistics.
+
+    Every metric here is a function of per-row statistics summed over a row
+    set.  :meth:`stats` gives those per-row columns in two blocks, integer
+    *counts* and non-negative float *amounts*:
+
+    - accuracy: counts [correct];
+    - precision, recall, f1 (one class) and weighted_* (every class):
+      counts [pred == c] per class, then [true == c], then [both];
+    - ece:B: counts [in bin b] per bin, then [in bin b and correct];
+      amounts [confidence if in bin b] per bin;
+    - mean_min_score: amounts [min score over the class subset].
+
+    :meth:`value` turns the column sums of many row sets into values at
+    once.  An amount sum that is off by ``e`` moves a value by at most
+    ``e / n`` before rounding, ``n`` being the row count of that set.
+
+    Construction checks the metric's classes and score requirement once.
+    """
+
+    def __init__(self, spec: MetricSpec, table: PredictionTable):
+        for lbl in (spec.class_label, *spec.class_subset):
+            if lbl is not None and lbl not in table.classes.labels:
+                raise ValueError(f"metric references unknown class {lbl!r}")
+        if spec.requires_scores and table.scores is None:
+            raise MissingScoresError(f"metric {spec.name} needs score columns")
+        self.spec = spec
+        self.table = table
+        if spec.kind in _CLASS_KINDS:
+            codes = [table.classes.index(spec.class_label)]
+        elif spec.kind in _WEIGHTED_KINDS:
+            codes = range(table.classes.k)
+        else:
+            codes = [table.classes.index(lbl) for lbl in spec.class_subset]
+        self._codes = np.array(codes, dtype=np.int64)
+
+    def stats(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(counts, amounts)`` of rows ``idx``; counts are boolean."""
+        table, kind = self.table, self.spec.kind
+        none = np.empty((idx.size, 0))
+        if kind == ACCURACY:
+            return table.correct[idx][:, None], none
+        if kind == MEAN_MIN_SCORE:
+            mins = table.scores[idx][:, self._codes].min(axis=1)
+            return none.astype(bool), mins[:, None]
+        if kind == ECE:
+            bins = self.spec.bins
+            conf = table.scores[idx].max(axis=1)
+            # Equal-width bins on [0, 1]; each bin is (lo, hi] except the
+            # first, which also contains 0.  searchsorted against the shared
+            # edge array keeps boundary handling identical to a per-row
+            # comparison loop.
+            edges = np.array([i / bins for i in range(bins + 1)])
+            which = np.clip(np.searchsorted(edges, conf, side="left") - 1, 0, bins - 1)
+            in_bin = which[:, None] == np.arange(bins)
+            hits = in_bin & table.correct[idx][:, None]
+            return np.hstack([in_bin, hits]), np.where(in_bin, conf[:, None], 0.0)
+        pred = table.pred_codes[idx][:, None] == self._codes
+        true = table.y_codes[idx][:, None] == self._codes
+        return np.hstack([pred, true, pred & true]), none
+
+    def value(
+        self, counts: np.ndarray, amounts: np.ndarray, n: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Values and supports of row sets from their statistic sums.
+
+        Row ``r`` of ``counts`` (int64) and ``amounts`` (float64) holds the
+        column sums over a set of ``n[r]`` rows.  Returns ``(values,
+        supports)``, a value being NaN where the metric is undefined.  The
+        arithmetic is that of one scalar evaluation, elementwise: int/int
+        division, and ``math.fsum`` across classes and bins, so equal sums
+        give bit-equal values.
+        """
+        kind = self.spec.kind
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if kind == ACCURACY:
+                return _defined(n > 0, counts[:, 0] / n), n
+            if kind == MEAN_MIN_SCORE:
+                return _defined(n > 0, amounts[:, 0] / n), n
+            if kind == ECE:
+                bins = self.spec.bins
+                size, hits = counts[:, :bins], counts[:, bins:]
+                parts = (size / n[:, None]) * np.abs(hits / size - amounts / size)
+                return _defined(n > 0, _fsum_rows(np.where(size > 0, parts, 0.0))), n
+            k = self._codes.size
+            pred, true, tp = counts[:, :k], counts[:, k : 2 * k], counts[:, 2 * k :]
+            values, supports = _per_class(kind.removeprefix("weighted_"), pred, true, tp)
+            if kind in _CLASS_KINDS:
+                return values[:, 0], supports[:, 0]
+            # Weighted by true-class counts over the classes present; one
+            # undefined constituent makes the whole average undefined.
+            present = true > 0
+            terms = np.where(present, true * values, 0.0)
+            defined = (n > 0) & ~(present & np.isnan(values)).any(axis=1)
+            return _defined(defined, _fsum_rows(terms) / n), n
+
+
+def _defined(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return np.where(mask, values, np.nan)
+
+
+def _fsum_rows(a: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(row) for row in a.tolist()], dtype=np.float64)
+
+
+def _per_class(kind: str, pred, true, tp) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class precision, recall or f1 (NaN where undefined) and supports
+    from the [pred == c], [true == c] and [both] count sums."""
+    precision = _defined(pred > 0, tp / pred)
+    recall = _defined(true > 0, tp / true)
+    if kind == PRECISION:
+        return precision, pred
+    if kind == RECALL:
+        return recall, true
+    s = precision + recall
+    return _defined(s != 0.0, 2.0 * precision * recall / s), np.minimum(pred, true)
 
 
 def evaluate(spec: MetricSpec, view: SubsetView) -> MetricValue:
@@ -186,125 +294,16 @@ def evaluate(spec: MetricSpec, view: SubsetView) -> MetricValue:
 
 
 def evaluate_indices(spec: MetricSpec, table: PredictionTable, indices: np.ndarray) -> MetricValue:
-    """Same as :func:`evaluate` but on a raw index array (internal fast path)."""
-    _check_classes(spec, table.classes)
-    if spec.requires_scores and table.scores is None:
-        raise MissingScoresError(f"metric {spec.name} needs score columns")
-    kind = spec.kind
-    if kind == ACCURACY:
-        return _accuracy(table, indices)
-    if kind == PRECISION:
-        return _precision(table, indices, table.classes.index(spec.class_label))
-    if kind == RECALL:
-        return _recall(table, indices, table.classes.index(spec.class_label))
-    if kind == F1:
-        return _f1(table, indices, table.classes.index(spec.class_label))
-    if kind in _WEIGHTED_KINDS:
-        return _weighted(table, indices, kind)
-    if kind == ECE:
-        return _ece(table, indices, spec.bins)
-    if kind == MEAN_MIN_SCORE:
-        cols = [table.classes.index(lbl) for lbl in spec.class_subset]
-        return _mean_min_score(table, indices, cols)
-    raise AssertionError(kind)
-
-
-def _accuracy(table, idx) -> MetricValue:
-    n = int(idx.size)
-    if n == 0:
-        return _UNDEFINED
-    hits = int(table.correct[idx].sum())
-    return MetricValue(hits / n, n)
-
-
-def _precision(table, idx, code) -> MetricValue:
-    pred = table.pred_codes[idx]
-    sel = pred == code
-    den = int(sel.sum())
-    if den == 0:
-        return _UNDEFINED
-    num = int((table.y_codes[idx][sel] == code).sum())
-    return MetricValue(num / den, den)
-
-
-def _recall(table, idx, code) -> MetricValue:
-    true = table.y_codes[idx]
-    sel = true == code
-    den = int(sel.sum())
-    if den == 0:
-        return _UNDEFINED
-    num = int((table.pred_codes[idx][sel] == code).sum())
-    return MetricValue(num / den, den)
-
-
-def _f1(table, idx, code) -> MetricValue:
-    p = _precision(table, idx, code)
-    r = _recall(table, idx, code)
-    support = min(p.support, r.support)
-    if not (p.defined and r.defined):
-        return MetricValue(None, support)
-    s = p.value + r.value
-    if s == 0.0:
-        return MetricValue(None, support)
-    return MetricValue(2.0 * p.value * r.value / s, support)
-
-
-_PER_CLASS = {
-    WEIGHTED_PRECISION: _precision,
-    WEIGHTED_RECALL: _recall,
-    WEIGHTED_F1: _f1,
-}
-
-
-def _weighted(table, idx, kind) -> MetricValue:
-    n = int(idx.size)
-    if n == 0:
-        return _UNDEFINED
-    per_class = _PER_CLASS[kind]
-    true = table.y_codes[idx]
-    counts = np.bincount(true, minlength=table.classes.k)
-    terms = []
-    for code in range(table.classes.k):
-        weight = int(counts[code])
-        if weight == 0:
-            continue
-        v = per_class(table, idx, code)
-        if not v.defined:
-            # One undefined constituent makes the whole average undefined.
-            return MetricValue(None, n)
-        terms.append(weight * v.value)
-    return MetricValue(math.fsum(terms) / n, n)
-
-
-def _ece(table, idx, bins) -> MetricValue:
-    n = int(idx.size)
-    if n == 0:
-        return _UNDEFINED
-    conf = table.scores[idx].max(axis=1)
-    correct = table.correct[idx]
-    # Equal-width bins on [0, 1]; each bin is (lo, hi] except the first,
-    # which also contains 0.  searchsorted against the shared edge array
-    # keeps boundary handling identical to a per-row comparison loop.
-    edges = np.array([i / bins for i in range(bins + 1)])
-    which = np.searchsorted(edges, conf, side="left") - 1
-    which = np.clip(which, 0, bins - 1)
-    total = 0.0
-    parts = []
-    for b in range(bins):
-        in_bin = which == b
-        size = int(in_bin.sum())
-        if size == 0:
-            continue
-        acc = int(correct[in_bin].sum()) / size
-        avg_conf = math.fsum(conf[in_bin]) / size
-        parts.append((size / n) * abs(acc - avg_conf))
-    total = math.fsum(parts)
-    return MetricValue(total, n)
-
-
-def _mean_min_score(table, idx, cols) -> MetricValue:
-    n = int(idx.size)
-    if n == 0:
-        return _UNDEFINED
-    mins = table.scores[idx][:, cols].min(axis=1)
-    return MetricValue(math.fsum(mins) / n, n)
+    """Same as :func:`evaluate` but on a raw index array: ``value`` of the
+    exact statistic sums of those rows."""
+    metric = MetricStats(spec, table)
+    counts, amounts = metric.stats(indices)
+    # math.fsum rounds the exact sum once; zeros change no sum.
+    amount_sums = [math.fsum(col[col != 0.0].tolist()) for col in amounts.T]
+    values, supports = metric.value(
+        counts.sum(axis=0, dtype=np.int64)[None],
+        np.array(amount_sums, dtype=np.float64)[None],
+        np.array([indices.size], dtype=np.int64),
+    )
+    value = float(values[0])
+    return MetricValue(None if math.isnan(value) else value, int(supports[0]))

@@ -10,20 +10,29 @@ Determinism contract: candidates are enumerated in a fixed order (ascending
 feature index, then ascending threshold or category order) and a candidate
 replaces the incumbent only on a strict beta improvement, so the first
 maximal candidate in enumeration order always wins.  Beta improvements
-smaller than ``BETA_TIE_TOLERANCE`` count as ties.  Candidate evaluation may
-be spread over worker threads; the reduction happens in enumeration order,
-so results are independent of thread count.
+smaller than ``BETA_TIE_TOLERANCE`` count as ties.
+
+The search is a sweep (CART / SLIQ split finding): the metric's per-row
+statistics are taken once per node, each feature's column is sorted once,
+and since ``x <= v`` sends a prefix of the sorted rows left and ``x == c``
+one run of them, one cumulative sum gives the statistic sums of both sides
+of every condition, which the metric turns into values all at once.  Count
+statistics sum exactly, so those betas are the ones a separate evaluation
+of each side gives, bit for bit.  Float statistics (``ece``,
+``mean_min_score``) do not: their prefix-sum betas decide a comparison only
+when they do so by more than a bound on their error, and every other
+comparison is decided on exactly evaluated betas.  The winner's side values
+and beta are always evaluated exactly.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import CATEGORICAL, Feature, SubsetView
-from .metrics import MetricSpec, MetricValue, evaluate_indices
+from .metrics import MetricSpec, MetricStats, MetricValue, evaluate_indices
 
 BETA_TIE_TOLERANCE = 1e-12
 
@@ -31,6 +40,12 @@ BETA_TIE_TOLERANCE = 1e-12
 # reduced to AUTO_CAP quantile thresholds.
 AUTO_UNIQUE_LIMIT = 256
 AUTO_CAP = 255
+
+_U = 2.0**-53  # unit roundoff of float64
+# Metric values and gaps lie in [0, 1].  Rounding inside the value formula
+# (both in the screen and in the exact evaluation) and in the gap and
+# comparison subtractions adds well under this to any screened gap.
+_SCREEN_ROUNDING = 64 * _U
 
 
 @dataclass(frozen=True)
@@ -105,44 +120,50 @@ def candidate_thresholds(values: np.ndarray, max_thresholds: int | None = None) 
     column for ``q = 1..c``, where quantile ``p`` of ``n`` sorted values is
     the one at index ``ceil(p*n) - 1``.
     """
-    values = np.asarray(values, dtype=np.float64)
-    uniq = np.unique(values)
-    cap = max_thresholds
+    return _thresholds(np.sort(np.asarray(values, dtype=np.float64)), max_thresholds)
+
+
+def _thresholds(ordered: np.ndarray, cap: int | None) -> np.ndarray:
+    """:func:`candidate_thresholds` of an already sorted column."""
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    uniq = ordered[first]
     if cap is None:
         cap = None if uniq.size <= AUTO_UNIQUE_LIMIT else AUTO_CAP
     if cap is None or uniq.size <= cap:
         return uniq
-    ordered = np.sort(values)
     n = ordered.size
-    picks = []
-    for q in range(1, cap + 1):
-        p = q / (cap + 1)
-        i = int(np.ceil(p * n)) - 1
-        picks.append(ordered[min(max(i, 0), n - 1)])
-    return np.unique(np.array(picks))
+    at = np.ceil(np.arange(1, cap + 1) / (cap + 1) * n).astype(np.int64) - 1
+    return np.unique(ordered[np.clip(at, 0, n - 1)])
 
 
-def _candidates(view: SubsetView, config: SearchConfig):
-    """Every condition the search considers for ``view``, in search order.
+def _conditions(ordered: np.ndarray, feature: Feature, cap: int | None):
+    """The conditions tried on one feature, in search order, given its
+    sorted column (floats, or category codes).
 
-    Yields ``(candidate, column, left_count)``.  ``column`` is the view's
-    slice of the candidate's feature column, taken once per feature;
-    ``left_count`` lets the alpha check run before any mask is built.
+    Returns ``(values, starts, ends)``: condition ``i`` is ``x <= values[i]``
+    (numeric and binary) or ``x == values[i]`` (categorical, a category
+    present in the column), and it sends sorted rows ``starts[i]:ends[i]``
+    left.
     """
-    for j, feature in enumerate(view.table.schema.features):
-        col = view.column(j)
-        uniq, counts = np.unique(col, return_counts=True)
-        if feature.kind == CATEGORICAL:
-            for code, count in zip(uniq, counts):
-                yield SplitCandidate(j, "eq", feature.categories[int(code)]), col, int(count)
-        else:
-            cum = np.cumsum(counts)
-            thresholds = candidate_thresholds(col, config.max_thresholds)
-            # Thresholds are values present in the column, so the row count
-            # of the left side is the cumulative count at that value.
-            at = np.searchsorted(uniq, thresholds, side="right") - 1
-            for v, a in zip(thresholds, at):
-                yield SplitCandidate(j, "le", float(v)), col, int(cum[a])
+    if feature.kind == CATEGORICAL:
+        counts = np.bincount(ordered, minlength=len(feature.categories))
+        present = np.flatnonzero(counts)
+        ends = np.cumsum(counts)[present]
+        return [feature.categories[c] for c in present], ends - counts[present], ends
+    thresholds = _thresholds(ordered, cap)
+    # Thresholds are values present in the column: the rows at or below one
+    # are a prefix of the sorted column.
+    ends = np.searchsorted(ordered, thresholds, side="right")
+    return thresholds.tolist(), np.zeros_like(ends), ends
+
+
+def _prefix_sums(rows: np.ndarray, dtype) -> np.ndarray:
+    """Running column sums with a leading zero row: entry ``i`` sums
+    ``rows[:i]``, one recursive (left-to-right) sum per column."""
+    out = np.zeros((rows.shape[0] + 1, rows.shape[1]), dtype=dtype)
+    np.cumsum(rows, axis=0, dtype=dtype, out=out[1:])
+    return out
 
 
 def best_split(
@@ -154,9 +175,12 @@ def best_split(
     """Find the feasible condition with the largest metric gap.
 
     Returns None when no candidate is feasible or every feasible candidate
-    has a zero gap.
+    has a zero gap.  ``threads`` must be at least 1; the search runs on the
+    calling thread, so it changes nothing.
     """
     config = config or SearchConfig()
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     table = view.table
     vidx = view.indices
     n = vidx.size
@@ -164,50 +188,84 @@ def best_split(
         raise ValueError("cannot split an empty view")
 
     features = table.schema.features
-    jobs = [
-        (cand, col)
-        for cand, col, n_left in _candidates(view, config)
-        if n_left >= config.alpha and n - n_left >= config.alpha
-    ]
+    stat = MetricStats(metric, table)
+    counts, amounts = stat.stats(vidx)
+    count_total = counts.sum(axis=0, dtype=np.int64)
+    amount_total = amounts.sum(axis=0)
+    screened = amounts.shape[1] > 0
+    # A recursive sum of k + 1 terms is within gamma_k = k u / (1 - k u)
+    # times their absolute sum of the exact sum (Higham, Accuracy and
+    # Stability of Numerical Algorithms, ch. 4).  Every side's amount sum is
+    # a difference of at most three such sums of the node's rows (two
+    # prefixes and the total) plus two roundings, so it is within
+    # 6 gamma_n T, T being the node total of the non-negative amounts.
+    sum_error = 6.0 * n * _U / (1.0 - n * _U) * float(amount_total.sum())
 
-    def score(job):
-        cand, col = job
-        mask = cand.left_mask(col, features[cand.feature])
+    def exact(j: int, value):
+        cand = SplitCandidate(j, "eq" if features[j].kind == CATEGORICAL else "le", value)
+        mask = cand.left_mask(view.column(j), features[j])
         e_left = evaluate_indices(metric, table, vidx[mask])
         e_right = evaluate_indices(metric, table, vidx[~mask])
-        if not (e_left.defined and e_right.defined):
-            return None
-        if e_left.support < config.min_support or e_right.support < config.min_support:
-            return None
-        return abs(e_left.value - e_right.value), e_left, e_right
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(score, jobs, chunksize=max(1, len(jobs) // (threads * 4))))
-    else:
-        outcomes = [score(job) for job in jobs]
+        return cand, mask, e_left, e_right, abs(e_left.value - e_right.value)
 
     best_beta = 0.0
-    best = None
-    for job, outcome in zip(jobs, outcomes):
-        if outcome is None:
+    best_error = 0.0
+    best = None  # (feature, value)
+    best_exact = None  # exact(*best), once computed
+    for j, feature in enumerate(features):
+        col = view.column(j)
+        order = np.argsort(col, kind="stable")
+        values, starts, ends = _conditions(col[order], feature, config.max_thresholds)
+        n_left = ends - starts
+        keep = np.flatnonzero((n_left >= config.alpha) & (n - n_left >= config.alpha))
+        if keep.size == 0:
             continue
-        beta, e_left, e_right = outcome
-        if abs(beta - best_beta) < BETA_TIE_TOLERANCE:
-            continue
-        if beta > best_beta:
-            best_beta = beta
-            best = (job, e_left, e_right)
+        starts, ends, n_left = starts[keep], ends[keep], n_left[keep]
+        cum = _prefix_sums(counts[order], np.int64)
+        c_left = cum[ends] - cum[starts]
+        cum = _prefix_sums(amounts[order], np.float64)
+        a_left = cum[ends] - cum[starts]
+        del cum
+        v, s = stat.value(
+            np.concatenate([c_left, count_total - c_left]),
+            np.concatenate([a_left, amount_total - a_left]),
+            np.concatenate([n_left, n - n_left]),
+        )
+        r = keep.size
+        feasible = ~np.isnan(v[:r]) & ~np.isnan(v[r:])
+        feasible &= (s[:r] >= config.min_support) & (s[r:] >= config.min_support)
+        betas = np.abs(v[:r] - v[r:])
+        # Bound on |screened beta - exact beta|; count sums are exact.
+        errors = np.zeros(r)
+        if screened:
+            errors += sum_error * (1.0 / n_left + 1.0 / (n - n_left)) + _SCREEN_ROUNDING
+        rows = np.flatnonzero(feasible)
+        for i, beta, error in zip(rows.tolist(), betas[rows].tolist(), errors[rows].tolist()):
+            gap = abs(beta - best_beta)
+            found = None
+            if screened and abs(gap - BETA_TIE_TOLERANCE) <= error + best_error:
+                # The screened betas cannot decide this comparison: decide
+                # it on exact ones.
+                found = exact(j, values[keep[i]])
+                beta, error = found[4], 0.0
+                if best_error:
+                    best_exact = exact(*best)
+                    best_beta, best_error = best_exact[4], 0.0
+                gap = abs(beta - best_beta)
+            if gap < BETA_TIE_TOLERANCE:
+                continue
+            if beta > best_beta:
+                best_beta, best_error = beta, error
+                best, best_exact = (j, values[keep[i]]), found
 
     if best is None:
         return None
-    (cand, col), e_left, e_right = best
-    mask = cand.left_mask(col, features[cand.feature])
+    cand, mask, e_left, e_right, beta = best_exact or exact(*best)
     return SplitResult(
         cand,
         SubsetView(table, vidx[mask]),
         SubsetView(table, vidx[~mask]),
         e_left,
         e_right,
-        best_beta,
+        beta,
     )

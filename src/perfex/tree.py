@@ -320,6 +320,9 @@ def _need(doc: dict, key: str, types, where: str):
     v = doc[key]
     if not isinstance(v, types) or isinstance(v, bool):
         raise TreeFormatError(f"bad type for {key!r} in {where}")
+    # json parses NaN and Infinity; no threshold, value or setting may be one.
+    if isinstance(v, float) and not math.isfinite(v):
+        raise TreeFormatError(f"non-finite {key!r} in {where}")
     return v
 
 

@@ -272,8 +272,13 @@ def split_node(feature, kind, value, left=LEAF, right=LEAF):
          "value 'purple' is not a category of 'color' in root.right"),
         (split_node(1, "le", 0.0),
          "split kind 'le' does not fit categorical feature 'color' in root"),
+        (split_node(0, "le", 2.5, left=split_node(0, "le", float("nan"))),
+         "non-finite 'value' in root.left"),
+        (split_node(0, "le", 2.5, right={"leaf": dict(LEAF["leaf"], value=float("inf"))}),
+         "non-finite 'value' in root.right"),
     ],
-    ids=["feature-out-of-range", "unknown-category", "le-on-categorical"],
+    ids=["feature-out-of-range", "unknown-category", "le-on-categorical",
+         "nan-threshold", "infinite-leaf-value"],
 )
 def test_evaluate_rejects_tree_that_does_not_fit_the_schema(tmp_path, root, message):
     rows = "".join(f"{x},{c},a,{p}\n" for x, c, p in [

@@ -10,7 +10,7 @@ from perfex import (
     candidate_thresholds,
 )
 from perfex.metrics import evaluate_indices
-from perfex.splitter import _candidates
+from perfex.splitter import _conditions
 
 from tests._naive import naive_best_split, naive_thresholds, random_plain_table
 from tests._tables import WORKED_CORRECT, WORKED_Z, worked_example_table, make_table, plain_to_table
@@ -57,7 +57,14 @@ def test_candidate_thresholds_automatic_rule():
 
 
 def candidate_list(view):
-    return [cand for cand, _, _ in _candidates(view, SearchConfig())]
+    """(feature, kind, value, left-row count) of every condition the search
+    tries on ``view``, in search order."""
+    out = []
+    for j, feature in enumerate(view.table.schema.features):
+        values, starts, ends = _conditions(np.sort(view.column(j)), feature, None)
+        kind = "eq" if feature.kind == "categorical" else "le"
+        out += [(j, kind, v, int(e - s)) for v, s, e in zip(values, starts, ends)]
+    return out
 
 
 def test_enumeration_order_is_fixed():
@@ -68,18 +75,18 @@ def test_enumeration_order_is_fixed():
         ["a", "b", "b"],
     )
     cands = candidate_list(t.full_view())
-    assert [(c.feature, c.kind, c.value) for c in cands] == [
+    assert [c[:3] for c in cands] == [
         (0, "le", 1.0),
         (0, "le", 2.0),
         (1, "eq", "u"),
         (1, "eq", "v"),
     ]
     # Each candidate comes with the row count of its left side.
-    assert [n for _, _, n in _candidates(t.full_view(), SearchConfig())] == [1, 3, 2, 1]
+    assert [c[3] for c in cands] == [1, 3, 2, 1]
     # Only categories present in the view are enumerated.
     sub = t.subset(np.array([0]))
     cands = candidate_list(sub.full_view())
-    assert [(c.feature, c.value) for c in cands] == [(0, 2.0), (1, "v")]
+    assert [(c[0], c[2]) for c in cands] == [(0, 2.0), (1, "v")]
 
 
 def test_worked_example_best_split_is_exact():
@@ -183,6 +190,8 @@ def test_threads_do_not_change_the_result():
         assert serial.candidate == pooled.candidate
         assert serial.beta == pooled.beta
         assert np.array_equal(serial.left.indices, pooled.left.indices)
+    with pytest.raises(ValueError):
+        best_split(t.full_view(), ACC, SearchConfig(2, 1), threads=0)
 
 
 def test_matches_naive_exhaustive_search():
@@ -190,9 +199,21 @@ def test_matches_naive_exhaustive_search():
     for _ in range(40):
         plain = random_plain_table(rng, max_rows=60)
         t = plain_to_table(plain)
-        specs = [ACC, MetricSpec.precision(plain["classes"][0]), MetricSpec.weighted("f1")]
+        first = plain["classes"][0]
+        specs = [
+            ACC,
+            MetricSpec.precision(first),
+            MetricSpec.recall(first),
+            MetricSpec.f1(first),
+            MetricSpec.weighted("precision"),
+            MetricSpec.weighted("recall"),
+            MetricSpec.weighted("f1"),
+        ]
         if plain["scores"] is not None:
+            specs += [MetricSpec.ece(bins) for bins in (1, 5, 10)]
             specs.append(MetricSpec.mean_min_score(tuple(plain["classes"][:2])))
+            if len(plain["classes"]) > 2:
+                specs.append(MetricSpec.mean_min_score(tuple(plain["classes"])))
         alpha = int(rng.choice([1, 3, 10]))
         min_support = int(rng.choice([1, 5]))
         for spec in specs:
@@ -204,6 +225,36 @@ def test_matches_naive_exhaustive_search():
             assert got is not None, (spec.name, want)
             assert (got.candidate.feature, got.candidate.kind, got.candidate.value) == want[:3]
             assert got.beta == want[3]  # same doubles, same order: bit-exact
+
+
+def test_float_screen_near_tie_goes_to_first_candidate():
+    # x0 <= 0 and x1 <= 199 both isolate the last row, so their exact betas
+    # are equal and the first in order must win.  The sweep adds up the other
+    # rows in row order for x0 and grouped by x1 for x1; the two float sums,
+    # and so the two screened betas, differ by more than the tie tolerance.
+    # Only the exact recheck of undecided comparisons gets the tie right.
+    n = 2000
+    p = np.random.default_rng(0).uniform(0.5, 0.7, size=n)
+    p[-1] = 1.0
+    x1 = [float(i % 200) for i in range(n - 1)] + [1000.0]
+    plain = {
+        "features": [("f0", "numeric", None), ("f1", "numeric", None)],
+        "columns": [[0.0] * (n - 1) + [1.0], x1],
+        "classes": ["a", "b"],
+        "y": ["a"] * n,
+        "pred": ["a"] * n,
+        "scores": [[float(a), 1.0 - float(a)] for a in p],
+    }
+    mins = np.minimum(p, 1.0 - p)[:-1]
+    by_x1 = mins[np.argsort(x1[:-1], kind="stable")]
+    assert abs(np.cumsum(mins)[-1] - np.cumsum(by_x1)[-1]) > 1e-12
+    t = plain_to_table(plain)
+    spec = MetricSpec.mean_min_score(("a", "b"))
+    got = best_split(t.full_view(), spec, SearchConfig(1, 1))
+    want = naive_best_split(plain, 1, 1, value_fn(spec, t))
+    assert want[:3] == (0, "le", 0.0)
+    assert (got.candidate.feature, got.candidate.kind, got.candidate.value) == want[:3]
+    assert got.beta == want[3]
 
 
 def test_search_config_validation():

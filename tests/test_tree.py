@@ -334,6 +334,23 @@ def test_deserialize_rejects_malformed_documents():
         deserialize_tree("[1,2]")
 
 
+def test_deserialize_rejects_non_finite_numbers():
+    # json reads NaN and Infinity; a NaN threshold would send every row right.
+    t = worked_example_table()
+    good = json.loads(serialize_tree(build_tree(t, ACC, LOOSE, alpha=1)))
+    cases = [
+        (lambda d: d["root"].update(value=float("nan")), "'value' in root$"),
+        (lambda d: d["root"]["left"]["leaf"].update(value=float("inf")), "'value' in root.left$"),
+        (lambda d: d["root"]["right"]["leaf"].update(value=-float("inf")), "'value' in root.right$"),
+        (lambda d: d["stopping"].update(confidence_z=float("inf")), "'confidence_z' in stopping$"),
+    ]
+    for mutate, where in cases:
+        doc = json.loads(json.dumps(good))
+        mutate(doc)
+        with pytest.raises(TreeFormatError, match="non-finite " + where):
+            deserialize_tree(json.dumps(doc))
+
+
 def test_deserialize_rejects_deeply_nested_tree():
     t = worked_example_table()
     doc = json.loads(serialize_tree(build_tree(t, ACC, LOOSE, alpha=1)))
