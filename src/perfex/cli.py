@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 on module errors (bad data, bad tree file,
 I/O problems; diagnostic on stderr), 2 on argument errors.  All output
 files are written atomically.  The ``PERFEX_THREADS`` environment variable
-must be an integer if set; the split search runs on one thread, so it
-changes nothing.
+must be a positive integer if set (otherwise ``fit`` exits with code 2);
+the split search runs on one thread, so it changes nothing.
 """
 
 from __future__ import annotations
@@ -62,10 +62,13 @@ def _threads() -> int:
     if not raw:
         return 1
     try:
-        v = int(raw)
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        raise SystemExit(2)
-    return max(1, v)
+        pass
+    print(f"perfex: PERFEX_THREADS must be a positive integer, got {raw!r}",
+          file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _part_paths(out: Path, n_parts: int) -> list[Path]:

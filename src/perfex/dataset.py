@@ -116,17 +116,15 @@ class ClassSet:
             raise KeyError(label) from None
 
 
-def _encode_labels(values, classes: ClassSet, column: str) -> np.ndarray:
-    lookup = {lbl: i for i, lbl in enumerate(classes.labels)}
-    codes = np.empty(len(values), dtype=np.int32)
-    for i, v in enumerate(values):
-        try:
-            codes[i] = lookup[v]
-        except KeyError:
-            raise UnknownClassError(
-                f"label {v!r} in {column} is not in the class set", row=i + 1
-            ) from None
-    return codes
+def _codes(values, names, error, message) -> np.ndarray:
+    """Index of each value in ``names`` as int32; the first value missing from
+    ``names`` raises ``error(message(value))`` naming its 1-based row."""
+    lookup = {name: i for i, name in enumerate(names)}
+    try:
+        return np.array([lookup[v] for v in values], dtype=np.int32)
+    except KeyError as exc:
+        (v,) = exc.args
+        raise error(message(v), row=list(values).index(v) + 1) from None
 
 
 class PredictionTable:
@@ -166,16 +164,12 @@ class PredictionTable:
             if len(col) != n:
                 raise DataFormatError(f"feature {feature.name!r} has wrong length")
             if feature.kind == CATEGORICAL:
-                lookup = {c: i for i, c in enumerate(feature.categories)}
-                arr = np.empty(n, dtype=np.int32)
-                for i, v in enumerate(col):
-                    try:
-                        arr[i] = lookup[v]
-                    except KeyError:
-                        raise DataFormatError(
-                            f"value {v!r} is not a category of {feature.name!r}",
-                            row=i + 1,
-                        ) from None
+                arr = _codes(
+                    col,
+                    feature.categories,
+                    DataFormatError,
+                    lambda v: f"value {v!r} is not a category of {feature.name!r}",
+                )
             else:
                 arr = np.asarray(col, dtype=np.float64).copy()
                 if arr.ndim != 1:
@@ -197,8 +191,14 @@ class PredictionTable:
             encoded.append(arr)
         self._columns = tuple(encoded)
 
-        self._y = _encode_labels(y_true, classes, TRUE_COLUMN)
-        self._pred = _encode_labels(y_pred, classes, PRED_COLUMN)
+        self._y = _codes(
+            y_true, classes.labels, UnknownClassError,
+            lambda v: f"label {v!r} in {TRUE_COLUMN} is not in the class set",
+        )
+        self._pred = _codes(
+            y_pred, classes.labels, UnknownClassError,
+            lambda v: f"label {v!r} in {PRED_COLUMN} is not in the class set",
+        )
         self._y.flags.writeable = False
         self._pred.flags.writeable = False
 
@@ -374,31 +374,27 @@ def _parse_float(cell: str, row: int, column: str) -> float:
     return v
 
 
-def _looks_numeric(cell: str) -> bool:
+def _parse_column(cells, column: str) -> list[float]:
+    return [_parse_float(cell, i, column) for i, cell in enumerate(cells, 1)]
+
+
+def _require_cells(cells, column: str) -> None:
+    if "" in cells:
+        raise DataFormatError(
+            f"missing value in column {column!r}", row=cells.index("") + 1
+        )
+
+
+def _infer_feature(name: str, cells) -> Feature:
+    # Inference rule: a column with any cell float() rejects is categorical;
+    # one whose distinct values sit inside {0, 1} is binary; everything else
+    # is numeric.  "nan" and "inf" count as numbers, so a non-finite cell is
+    # rejected by _parse_float rather than read as a category.
     try:
-        float(cell)
-        return True
+        distinct = set(map(float, cells))
     except ValueError:
-        return False
-
-
-def _infer_schema(names, raw_columns) -> FeatureSchema:
-    # Inference rule: all-numeric columns whose distinct values sit inside
-    # {0, 1} are binary, columns with any non-numeric cell are categorical,
-    # everything else is numeric.  "nan" and "inf" count as numeric, so a
-    # non-finite cell is rejected by _parse_float rather than read as a
-    # category.
-    features = []
-    for name, col in zip(names, raw_columns):
-        if all(_looks_numeric(c) for c in col):
-            distinct = {float(c) for c in col}
-            if len(distinct) <= 2 and distinct <= {0.0, 1.0}:
-                features.append(Feature(name, BINARY))
-            else:
-                features.append(Feature(name, NUMERIC))
-        else:
-            features.append(Feature(name, CATEGORICAL, tuple(sorted(set(col)))))
-    return FeatureSchema(tuple(features))
+        return Feature(name, CATEGORICAL, tuple(sorted(set(cells))))
+    return Feature(name, BINARY if distinct <= {0.0, 1.0} else NUMERIC)
 
 
 def load_table(
@@ -429,7 +425,9 @@ def load_table(
     ------
     DataFormatError
         On any malformed content; the offending 1-based data row is named
-        where applicable.  An empty table is an error.
+        where applicable.  After every row's width is checked, cells are
+        checked column by column, left to right, so the error names the
+        first bad cell of the first bad column.  An empty table is an error.
     UnknownClassError
         When a label is not in the declared class set.
     """
@@ -479,52 +477,33 @@ def load_table(
             raise DataFormatError(
                 f"expected {width} cells, got {len(row)}", row=i + 1
             )
+    cells = list(zip(*rows))
+    del rows  # the columns hold the same strings; free the row lists early
 
-    raw_features = [[row[j] for row in rows] for j in range(len(feature_names))]
+    raw_features = cells[:true_at]
     if schema is None:
-        schema = _infer_schema(feature_names, raw_features)
-    else:
-        if schema.names != tuple(feature_names):
-            raise DataFormatError(
-                "schema feature names do not match the CSV header"
-            )
+        schema = FeatureSchema(tuple(map(_infer_feature, feature_names, raw_features)))
+    elif schema.names != tuple(feature_names):
+        raise DataFormatError("schema feature names do not match the CSV header")
 
     columns = []
-    for j, feature in enumerate(schema.features):
-        raw = raw_features[j]
+    for feature, raw in zip(schema.features, raw_features):
         if feature.kind == CATEGORICAL:
-            for i, cell in enumerate(raw):
-                if cell == "":
-                    raise DataFormatError(
-                        f"missing value in column {feature.name!r}", row=i + 1
-                    )
+            _require_cells(raw, feature.name)
             columns.append(raw)
         else:
-            columns.append(
-                [_parse_float(cell, i + 1, feature.name) for i, cell in enumerate(raw)]
-            )
+            columns.append(_parse_column(raw, feature.name))
 
-    y_true = [row[true_at] for row in rows]
-    y_pred = [row[true_at + 1] for row in rows]
-    for i, v in enumerate(y_true):
-        if v == "":
-            raise DataFormatError(f"missing value in column {TRUE_COLUMN!r}", row=i + 1)
-    for i, v in enumerate(y_pred):
-        if v == "":
-            raise DataFormatError(f"missing value in column {PRED_COLUMN!r}", row=i + 1)
-
+    y_true, y_pred = cells[true_at], cells[true_at + 1]
+    _require_cells(y_true, TRUE_COLUMN)
+    _require_cells(y_pred, PRED_COLUMN)
     if classes is None:
         classes = ClassSet(tuple(sorted(set(y_true) | set(y_pred))))
 
     scores = None
     if score_labels:
-        scores = [
-            [
-                _parse_float(row[true_at + 2 + s], i + 1, score_headers[s])
-                for s in range(len(score_labels))
-            ]
-            for i, row in enumerate(rows)
-        ]
+        parsed = map(_parse_column, cells[true_at + 2 :], score_headers)
+        scores = np.array(list(parsed), dtype=np.float64).T
 
     return PredictionTable(
         schema,
@@ -540,35 +519,23 @@ def load_table(
 # -- CSV writing ----------------------------------------------------------
 
 
-def _format_cell(v: float) -> str:
-    # repr() of a float is the shortest string that round-trips exactly.
-    return repr(float(v))
-
-
 def table_to_csv_text(table: PredictionTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # Numbers go out as Python floats, which csv writes with repr(): the
+    # shortest text that reads back exactly.
+    columns = [
+        table.column_labels(j) if f.kind == CATEGORICAL else table.column(j).tolist()
+        for j, f in enumerate(table.schema.features)
+    ]
+    columns += [table.y_labels(), table.pred_labels()]
     header = list(table.schema.names) + [TRUE_COLUMN, PRED_COLUMN]
     if table.scores is not None:
         header += [SCORE_PREFIX + lbl for lbl in table.classes.labels]
-    writer.writerow(header)
+        columns += table.scores.T.tolist()
 
-    decoded = []
-    for j, feature in enumerate(table.schema.features):
-        if feature.kind == CATEGORICAL:
-            decoded.append(table.column_labels(j))
-        else:
-            decoded.append([_format_cell(v) for v in table.column(j)])
-    y = table.y_labels()
-    pred = table.pred_labels()
-    scores = table.scores
-    for i in range(table.n):
-        row = [decoded[j][i] for j in range(table.m)]
-        row.append(y[i])
-        row.append(pred[i])
-        if scores is not None:
-            row.extend(_format_cell(v) for v in scores[i])
-        writer.writerow(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

@@ -47,12 +47,18 @@ def min_samples(confidence_z: float, interval_width: float) -> MinSamples:
     Returns the exact real bound ``z^2 / D^2`` (worst case at e = 1/2) and
     the first integer row count that satisfies it.
     """
-    if confidence_z <= 0:
-        raise ValueError("confidence_z must be positive")
+    if not 0 < confidence_z < math.inf:
+        raise ValueError(f"confidence_z must be positive and finite, got {confidence_z!r}")
     if not 0 < interval_width <= 1:
-        raise ValueError("interval_width must be in (0, 1]")
-    exact = (confidence_z * confidence_z) / (interval_width * interval_width)
-    return MinSamples(exact, int(math.ceil(exact)))
+        raise ValueError(f"interval_width must be in (0, 1], got {interval_width!r}")
+    try:
+        exact = (confidence_z * confidence_z) / (interval_width * interval_width)
+        return MinSamples(exact, int(math.ceil(exact)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"confidence_z {confidence_z!r} and interval_width {interval_width!r} "
+            "give a row count too large to represent"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if self.min_beta < 0:
-            raise ValueError("min_beta must be non-negative")
+        if not 0 <= self.min_beta < math.inf:
+            raise ValueError(f"min_beta must be non-negative and finite, got {self.min_beta!r}")
         min_samples(self.confidence_z, self.max_interval_width)
 
     @property

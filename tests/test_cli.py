@@ -308,11 +308,29 @@ def test_exit_code_two_on_argument_errors(tmp_path):
                    tmp_path).returncode == 2
 
 
-def test_threads_env_must_be_an_integer(tmp_path):
+@pytest.mark.parametrize("setting, message", [
+    ("inf", "min_beta must be non-negative and finite, got inf"),
+    ("nan", "min_beta must be non-negative and finite, got nan"),
+], ids=["inf", "nan"])
+def test_fit_rejects_non_finite_min_beta(tmp_path, setting, message):
     (tmp_path / "t.csv").write_text("x,__true__,__pred__\n1,a,a\n2,b,b\n3,a,b\n")
     p = run_cli(["fit", "--data", "t.csv", "--out", "t.json", "--alpha", "1",
-                 "--interval-width", "1.0"], tmp_path, threads="abc")
-    assert p.returncode == 2
+                 "--interval-width", "1.0", "--min-beta", setting], tmp_path)
+    assert p.returncode == 1
+    assert p.stderr.decode() == f"perfex fit: {message}\n"
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_threads_env_must_be_an_integer(tmp_path):
+    (tmp_path / "t.csv").write_text("x,__true__,__pred__\n1,a,a\n2,b,b\n3,a,b\n")
+    for bad in ("abc", "0", "-3"):
+        p = run_cli(["fit", "--data", "t.csv", "--out", "t.json", "--alpha", "1",
+                     "--interval-width", "1.0"], tmp_path, threads=bad)
+        assert p.returncode == 2, bad
+        assert p.stderr.decode() == (
+            f"perfex: PERFEX_THREADS must be a positive integer, got {bad!r}\n"
+        )
+        assert not (tmp_path / "t.json").exists()
     ok = run_cli(["fit", "--data", "t.csv", "--out", "t.json", "--alpha", "1",
                   "--interval-width", "1.0"], tmp_path, threads="3")
     assert ok.returncode == 0, ok.stderr

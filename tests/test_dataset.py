@@ -170,6 +170,71 @@ def test_roundtrip_full_float_precision(tmp_path):
     assert np.array_equal(back.column(0), np.array(vals))
 
 
+# Values a CSV round trip is most likely to bend: signed zero, the smallest
+# subnormal, the largest float, a sum with a long repr, and text that needs
+# quoting or is not ASCII.  "nan" and "1" are categories here, not numbers.
+AWKWARD_NUMBERS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2]
+AWKWARD_SCORES = [-0.0, 0.0, 5e-324, 0.1 + 0.2, 1.0]
+AWKWARD_TEXT = ["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", " leading", "naïve", "日本語",
+                "nan", "1"]
+
+
+@st.composite
+def awkward_tables(draw):
+    n = draw(st.integers(1, 8))
+    cats = draw(st.lists(st.sampled_from(AWKWARD_TEXT), min_size=1, unique=True))
+    labels = draw(st.lists(st.sampled_from(AWKWARD_TEXT), min_size=2, max_size=4, unique=True))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    numbers = st.sampled_from(AWKWARD_NUMBERS) | st.floats(allow_nan=False, allow_infinity=False)
+    score = st.sampled_from(AWKWARD_SCORES) | st.floats(0.0, 1.0)
+    schema = FeatureSchema((
+        Feature('x, "quoted"', "numeric"),
+        Feature("flag", "binary"),
+        Feature("naïve cat", "categorical", tuple(cats)),
+    ))
+    return PredictionTable(
+        schema,
+        ClassSet(tuple(labels)),
+        [column(numbers), column(st.sampled_from([0.0, -0.0, 1.0])), column(st.sampled_from(cats))],
+        column(st.sampled_from(labels)),
+        column(st.sampled_from(labels)),
+        column(st.lists(score, min_size=len(labels), max_size=len(labels))),
+        scores_are_probabilities=False,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(awkward_tables())
+def test_csv_roundtrip_keeps_awkward_values(t):
+    text = table_to_csv_text(t)
+    back = load_table(text.encode("utf-8"), schema=t.schema, scores_are_probabilities=False)
+    assert back.equals(t)
+    # equals() sees -0.0 == 0.0, so compare signs too.
+    for a, b in ((back.column(0), t.column(0)), (back.column(1), t.column(1)),
+                 (back.scores, t.scores)):
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert table_to_csv_text(back) == text
+
+
+def test_load_names_the_first_bad_cell_in_column_order():
+    head = b"x,__true__,__pred__,__score_a,__score_b\n"
+    # Row 2 of __score_b is bad too, but __score_a comes first.
+    bad_scores = head + b"1,a,a,0.5,0.5\n2,a,b,0.5,bad\n3,b,b,oops,0.5\n"
+    with pytest.raises(DataFormatError, match=r"^row 3: cannot parse 'oops' in column '__score_a' as a number$"):
+        load_table(bad_scores)
+    with pytest.raises(DataFormatError, match=r"^row 2: non-finite value in column '__score_b'$"):
+        load_table(head + b"1,a,a,0.5,0.5\n2,a,b,0.5,inf\n")
+    with pytest.raises(DataFormatError, match=r"^row 2: missing value in column '__pred__'$"):
+        load_table(b"x,__true__,__pred__\n1,a,a\n2,b,\n")
+    # Feature columns come before the label columns.
+    num = FeatureSchema((Feature("x", "numeric"),))
+    with pytest.raises(DataFormatError, match=r"^row 3: cannot parse 'bad' in column 'x' as a number$"):
+        load_table(b"x,__true__,__pred__\n1,,a\n2,a,b\nbad,b,b\n", schema=num)
+
+
 def test_schema_validation():
     with pytest.raises(ValueError):
         Feature("f", "weird")

@@ -68,6 +68,22 @@ def test_stopping_rule_defaults_and_bounds():
         StoppingRule(max_interval_width=0.0)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"min_beta": float("nan")}, "min_beta must be non-negative and finite, got nan"),
+    ({"min_beta": float("inf")}, "min_beta must be non-negative and finite, got inf"),
+    ({"confidence_z": float("nan")}, "confidence_z must be positive and finite, got nan"),
+    ({"confidence_z": float("inf")}, "confidence_z must be positive and finite, got inf"),
+    ({"max_interval_width": float("nan")}, r"interval_width must be in \(0, 1\], got nan"),
+    # Finite settings whose row count overflows a float.
+    ({"confidence_z": 1e200}, r"confidence_z 1e\+200 and interval_width 0.1 give"),
+    ({"max_interval_width": 1e-200}, "confidence_z 1.96 and interval_width 1e-200 give"),
+], ids=["nan-beta", "inf-beta", "nan-z", "inf-z", "nan-width", "huge-z", "tiny-width"])
+def test_stopping_rule_names_the_bad_setting(settings, message):
+    # nan fails every comparison, so a sign check alone would let it through.
+    with pytest.raises(ValueError, match=message):
+        StoppingRule(**settings)
+
+
 def test_worked_example_tree_is_exact():
     t = worked_example_table()
     tree = build_tree(t, ACC, LOOSE, alpha=1)
@@ -317,6 +333,7 @@ def test_deserialize_rejects_malformed_documents():
         lambda d: d.update(alpha="1"),
         lambda d: d["stopping"].pop("min_beta"),
         lambda d: d["stopping"].update(max_depth=0),
+        lambda d: d["stopping"].update(confidence_z=1e200),  # z * z overflows
         lambda d: d["root"].update(kind="lt"),
         lambda d: d["root"]["left"]["leaf"].update(value="0.4"),
         lambda d: d["root"]["left"]["leaf"].update(size=-1),
