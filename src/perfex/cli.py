@@ -44,6 +44,17 @@ def _metric_arg(text: str) -> MetricSpec:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _confidence_arg(text: str) -> float:
+    """A two-sided confidence level in (0, 1), as the z of its interval."""
+    try:
+        p = (1.0 + float(text)) / 2.0  # so a level too close to 0 or 1 for z fails too
+        if 0.5 < p < 1.0:
+            return NormalDist().inv_cdf(p)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be between 0 and 1, exclusive, got {text!r}")
+
+
 def _split_arg(text: str) -> tuple[float, ...]:
     try:
         shares = [float(p) for p in text.split("/")]
@@ -57,17 +68,14 @@ def _split_arg(text: str) -> tuple[float, ...]:
     return tuple(s / total for s in shares)
 
 
-def _threads() -> int:
+def _check_threads() -> None:
     raw = os.environ.get("PERFEX_THREADS", "")
-    if not raw:
-        return 1
     try:
-        if int(raw) >= 1:
-            return int(raw)
+        if not raw or int(raw) >= 1:
+            return
     except ValueError:
         pass
-    print(f"perfex: PERFEX_THREADS must be a positive integer, got {raw!r}",
-          file=sys.stderr)
+    print(f"perfex: PERFEX_THREADS must be a positive integer, got {raw!r}", file=sys.stderr)
     raise SystemExit(2)
 
 
@@ -95,9 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--max-depth", type=int, default=6)
     fit.add_argument("--min-beta", type=float, default=0.05,
                      help="smallest metric gap worth splitting on (default: 0.05)")
-    fit.add_argument("--confidence", type=float, default=None,
-                     help="two-sided confidence level for the per-leaf "
-                          "interval rule (default: 0.95, i.e. z = 1.96)")
+    fit.add_argument("--confidence", type=_confidence_arg, default=DEFAULT_Z, dest="z",
+                     metavar="LEVEL", help="two-sided confidence level for the "
+                     "per-leaf interval rule (default: 0.95, i.e. z = 1.96)")
     fit.add_argument("--interval-width", type=float, default=0.1,
                      help="largest tolerated confidence interval width (default: 0.1)")
     fit.add_argument("--max-thresholds", type=int, default=None,
@@ -137,14 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args) -> int:
-    threads = _threads()
-    z = DEFAULT_Z if args.confidence is None else NormalDist().inv_cdf(
-        (1.0 + args.confidence) / 2.0
-    )
+    _check_threads()
     stopping = StoppingRule(
         max_depth=args.max_depth,
         min_beta=args.min_beta,
-        confidence_z=z,
+        confidence_z=args.z,
         max_interval_width=args.interval_width,
     )
     table = load_table(args.data)
@@ -160,7 +165,6 @@ def _cmd_fit(args) -> int:
         stopping,
         alpha=args.alpha,
         max_thresholds=args.max_thresholds,
-        threads=threads,
     )
     atomic_write_text(args.out, serialize_tree(tree))
 

@@ -440,7 +440,14 @@ def load_table(
         data = source.read()
         if isinstance(data, str):
             data = data.encode("utf-8")
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte's row: the last record of the text before it plus a stand-in.
+        head = data[: exc.start].decode("utf-8") + "?"
+        row = sum(1 for _ in csv.reader(io.StringIO(head, newline=""))) - 1
+        where = "text" if row else "header"
+        raise DataFormatError(f"{where} is not valid UTF-8", row=row or None) from None
 
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -460,6 +467,14 @@ def load_table(
     for h in score_headers:
         if not h.startswith(SCORE_PREFIX):
             raise DataFormatError(f"unexpected trailing column {h!r}")
+    for names in (feature_names, score_headers):
+        if len(set(names)) < len(names):
+            dup = next(h for i, h in enumerate(names) if h in names[:i])
+            raise DataFormatError(f"duplicate column {dup!r}")
+    if len(score_headers) == 1:
+        raise DataFormatError(f"one score column {score_headers[0]!r}; need one per class")
+    if SCORE_PREFIX in score_headers:
+        raise DataFormatError(f"score column {SCORE_PREFIX!r} names no class")
     score_labels = [h[len(SCORE_PREFIX) :] for h in score_headers]
 
     if score_labels:
@@ -498,7 +513,10 @@ def load_table(
     _require_cells(y_true, TRUE_COLUMN)
     _require_cells(y_pred, PRED_COLUMN)
     if classes is None:
-        classes = ClassSet(tuple(sorted(set(y_true) | set(y_pred))))
+        labels = sorted(set(y_true) | set(y_pred))
+        if len(labels) < 2:
+            raise DataFormatError(f"{TRUE_COLUMN} and {PRED_COLUMN} hold one class only")
+        classes = ClassSet(tuple(labels))
 
     scores = None
     if score_labels:

@@ -167,8 +167,8 @@ class MetricStats:
     """A metric resolved against one table, as sufficient statistics.
 
     Every metric here is a function of per-row statistics summed over a row
-    set.  :meth:`stats` gives those per-row columns in two blocks, integer
-    *counts* and non-negative float *amounts*:
+    set: ``n_counts`` integer *count* columns and ``n_amounts`` non-negative
+    float *amount* columns.
 
     - accuracy: counts [correct];
     - precision, recall, f1 (one class) and weighted_* (every class):
@@ -177,9 +177,10 @@ class MetricStats:
       amounts [confidence if in bin b] per bin;
     - mean_min_score: amounts [min score over the class subset].
 
-    :meth:`value` turns the column sums of many row sets into values at
-    once.  An amount sum that is off by ``e`` moves a value by at most
-    ``e / n`` before rounding, ``n`` being the row count of that set.
+    :meth:`stats` gives each row's column codes, :meth:`sums` adds them up
+    over many row groups at once and :meth:`value` turns sums into values.
+    An amount sum that is off by ``e`` moves a value by at most ``e / n``
+    before rounding, ``n`` being the row count of that set.
 
     Construction checks the metric's classes and score requirement once.
     """
@@ -199,31 +200,47 @@ class MetricStats:
         else:
             codes = [table.classes.index(lbl) for lbl in spec.class_subset]
         self._codes = np.array(codes, dtype=np.int64)
+        k = self._codes.size
+        self.n_counts = {ACCURACY: 1, ECE: 2 * spec.bins, MEAN_MIN_SCORE: 0}.get(spec.kind, 3 * k)
+        self.n_amounts = {ECE: spec.bins, MEAN_MIN_SCORE: 1}.get(spec.kind, 0)
+        # The code for no count column, in the narrowest dtype; class places.
+        self._none = np.min_scalar_type(self.n_counts).type(self.n_counts)
+        self._place = np.full(table.classes.k, self._none)
+        self._place[self._codes] = np.arange(k)
 
-    def stats(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row ``(counts, amounts)`` of rows ``idx``; counts are boolean."""
-        table, kind = self.table, self.spec.kind
-        none = np.empty((idx.size, 0))
+    def stats(self, idx: np.ndarray):
+        """Per-row codes ``(counts, bins, weights)`` of rows ``idx``: row ``i``
+        adds one to each count column in ``counts[i]`` (``n_counts``: to none)
+        and ``weights[i]`` to amount column ``bins[i]`` (None: no amounts)."""
+        table, kind, none = self.table, self.spec.kind, self._none
+        correct = table.correct[idx]
         if kind == ACCURACY:
-            return table.correct[idx][:, None], none
+            return np.where(correct, none.dtype.type(0), none)[:, None], None, None
         if kind == MEAN_MIN_SCORE:
             mins = table.scores[idx][:, self._codes].min(axis=1)
-            return none.astype(bool), mins[:, None]
+            return np.empty((idx.size, 0), none.dtype), np.zeros(idx.size, none.dtype), mins
         if kind == ECE:
             bins = self.spec.bins
             conf = table.scores[idx].max(axis=1)
-            # Equal-width bins on [0, 1]; each bin is (lo, hi] except the
-            # first, which also contains 0.  searchsorted against the shared
-            # edge array keeps boundary handling identical to a per-row
-            # comparison loop.
-            edges = np.array([i / bins for i in range(bins + 1)])
-            which = np.clip(np.searchsorted(edges, conf, side="left") - 1, 0, bins - 1)
-            in_bin = which[:, None] == np.arange(bins)
-            hits = in_bin & table.correct[idx][:, None]
-            return np.hstack([in_bin, hits]), np.where(in_bin, conf[:, None], 0.0)
-        pred = table.pred_codes[idx][:, None] == self._codes
-        true = table.y_codes[idx][:, None] == self._codes
-        return np.hstack([pred, true, pred & true]), none
+            # Equal-width bins on [0, 1], each (lo, hi] but the first [0, hi]:
+            # a row's bin is the number of inner edges below its confidence.
+            edges = np.array([i / bins for i in range(1, bins)])
+            which = np.searchsorted(edges, conf, side="left").astype(none.dtype)
+            return np.stack([which, np.where(correct, bins + which, none)], axis=1), which, conf
+        pred, true = self._place[table.pred_codes[idx]], self._place[table.y_codes[idx]]
+        k, found = self._codes.size, true != none
+        tp = np.where(found & correct, 2 * k + true, none)
+        return np.stack([pred, np.where(found, k + true, none), tp], axis=1), None, None
+
+    def sums(self, stats, group: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+        """Statistic sums ``(counts, amounts)`` of row groups: row ``g`` sums
+        the rows of ``stats`` whose ``group`` is ``g``.  Counts are exact; a
+        group's amounts are added up recursively, in the order given."""
+        counts, bins, weights = stats
+        width, a = self.n_counts + 1, self.n_amounts
+        c = np.bincount((group[:, None] * width + counts).ravel(), minlength=n_groups * width)
+        w = np.bincount(group * a + bins, weights, minlength=n_groups * a) if a else np.zeros(0)
+        return c.reshape(n_groups, width)[:, :-1], w.reshape(n_groups, a)
 
     def value(
         self, counts: np.ndarray, amounts: np.ndarray, n: np.ndarray
@@ -297,13 +314,11 @@ def evaluate_indices(spec: MetricSpec, table: PredictionTable, indices: np.ndarr
     """Same as :func:`evaluate` but on a raw index array: ``value`` of the
     exact statistic sums of those rows."""
     metric = MetricStats(spec, table)
-    counts, amounts = metric.stats(indices)
-    # math.fsum rounds the exact sum once; zeros change no sum.
-    amount_sums = [math.fsum(col[col != 0.0].tolist()) for col in amounts.T]
-    values, supports = metric.value(
-        counts.sum(axis=0, dtype=np.int64)[None],
-        np.array(amount_sums, dtype=np.float64)[None],
-        np.array([indices.size], dtype=np.int64),
-    )
+    _, bins, weights = stats = metric.stats(indices)
+    counts, _ = metric.sums(stats, np.zeros(indices.size, dtype=np.intp), 1)
+    # math.fsum rounds the exact sum of each amount column once.
+    amounts = [math.fsum(weights[bins == a].tolist()) for a in range(metric.n_amounts)]
+    n = np.array([indices.size], dtype=np.int64)
+    values, supports = metric.value(counts, np.array([amounts], dtype=np.float64), n)
     value = float(values[0])
     return MetricValue(None if math.isnan(value) else value, int(supports[0]))

@@ -13,16 +13,18 @@ maximal candidate in enumeration order always wins.  Beta improvements
 smaller than ``BETA_TIE_TOLERANCE`` count as ties.
 
 The search is a sweep (CART / SLIQ split finding): the metric's per-row
-statistics are taken once per node, each feature's column is sorted once,
-and since ``x <= v`` sends a prefix of the sorted rows left and ``x == c``
-one run of them, one cumulative sum gives the statistic sums of both sides
-of every condition, which the metric turns into values all at once.  Count
-statistics sum exactly, so those betas are the ones a separate evaluation
-of each side gives, bit for bit.  Float statistics (``ece``,
-``mean_min_score``) do not: their prefix-sum betas decide a comparison only
-when they do so by more than a bound on their error, and every other
-comparison is decided on exactly evaluated betas.  The winner's side values
-and beta are always evaluated exactly.
+statistics are taken once per node and each feature's column is sorted once.
+``x <= v`` sends a prefix of the sorted rows left and ``x == c`` one run of
+them, so the bounds of all conditions cut the sorted rows into segments (at
+most 257 at the default threshold cap).  One grouped sum per feature gives
+the statistic sums of every segment, a cumulative sum over the segments
+gives both sides of every condition, and the metric turns them into values
+at once.  Count statistics sum exactly, so those betas are the ones a
+separate evaluation of each side gives, bit for bit.  Float statistics
+(``ece``, ``mean_min_score``) do not: their segment-sum betas decide a
+comparison only when they do so by more than a bound on their error, and
+every other comparison is decided on exactly evaluated betas.  The winner's
+side values and beta are always evaluated exactly.
 """
 
 from __future__ import annotations
@@ -158,29 +160,17 @@ def _conditions(ordered: np.ndarray, feature: Feature, cap: int | None):
     return thresholds.tolist(), np.zeros_like(ends), ends
 
 
-def _prefix_sums(rows: np.ndarray, dtype) -> np.ndarray:
-    """Running column sums with a leading zero row: entry ``i`` sums
-    ``rows[:i]``, one recursive (left-to-right) sum per column."""
-    out = np.zeros((rows.shape[0] + 1, rows.shape[1]), dtype=dtype)
-    np.cumsum(rows, axis=0, dtype=dtype, out=out[1:])
-    return out
-
-
 def best_split(
     view: SubsetView,
     metric: MetricSpec,
     config: SearchConfig | None = None,
-    threads: int = 1,
 ) -> SplitResult | None:
     """Find the feasible condition with the largest metric gap.
 
     Returns None when no candidate is feasible or every feasible candidate
-    has a zero gap.  ``threads`` must be at least 1; the search runs on the
-    calling thread, so it changes nothing.
+    has a zero gap.
     """
     config = config or SearchConfig()
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     table = view.table
     vidx = view.indices
     n = vidx.size
@@ -189,17 +179,8 @@ def best_split(
 
     features = table.schema.features
     stat = MetricStats(metric, table)
-    counts, amounts = stat.stats(vidx)
-    count_total = counts.sum(axis=0, dtype=np.int64)
-    amount_total = amounts.sum(axis=0)
-    screened = amounts.shape[1] > 0
-    # A recursive sum of k + 1 terms is within gamma_k = k u / (1 - k u)
-    # times their absolute sum of the exact sum (Higham, Accuracy and
-    # Stability of Numerical Algorithms, ch. 4).  Every side's amount sum is
-    # a difference of at most three such sums of the node's rows (two
-    # prefixes and the total) plus two roundings, so it is within
-    # 6 gamma_n T, T being the node total of the non-negative amounts.
-    sum_error = 6.0 * n * _U / (1.0 - n * _U) * float(amount_total.sum())
+    stats = stat.stats(vidx)
+    count_total, amount_total = stat.sums(stats, np.zeros(n, dtype=np.intp), 1)
 
     def exact(j: int, value):
         cand = SplitCandidate(j, "eq" if features[j].kind == CATEGORICAL else "le", value)
@@ -221,29 +202,40 @@ def best_split(
         if keep.size == 0:
             continue
         starts, ends, n_left = starts[keep], ends[keep], n_left[keep]
-        cum = _prefix_sums(counts[order], np.int64)
-        c_left = cum[ends] - cum[starts]
-        cum = _prefix_sums(amounts[order], np.float64)
-        a_left = cum[ends] - cum[starts]
-        del cum
+        r = keep.size
+        # Group g > 0 holds sorted rows bounds[g-1]:bounds[g]; group 0 is empty.
+        bounds, at = np.unique(np.concatenate([starts, ends, [0, n]]), return_inverse=True)
+        group = np.repeat(np.arange(1, bounds.size), np.diff(bounds))
+        ordered = [a if a is None else np.take(a, order, axis=0) for a in stats]
+        c_cum, a_cum = (np.cumsum(x, axis=0) for x in stat.sums(ordered, group, bounds.size))
+        c_left = c_cum[at[r : 2 * r]] - c_cum[at[:r]]
+        a_left = a_cum[at[r : 2 * r]] - a_cum[at[:r]]
         v, s = stat.value(
             np.concatenate([c_left, count_total - c_left]),
             np.concatenate([a_left, amount_total - a_left]),
             np.concatenate([n_left, n - n_left]),
         )
-        r = keep.size
         feasible = ~np.isnan(v[:r]) & ~np.isnan(v[r:])
         feasible &= (s[:r] >= config.min_support) & (s[r:] >= config.min_support)
         betas = np.abs(v[:r] - v[r:])
-        # Bound on |screened beta - exact beta|; count sums are exact.
-        errors = np.zeros(r)
-        if screened:
-            errors += sum_error * (1.0 / n_left + 1.0 / (n - n_left)) + _SCREEN_ROUNDING
+        # Bound on |screened beta - exact beta|, needed for float sums only.
+        # A float bincount adds each segment up recursively and the running
+        # sum adds up to S = bounds.size - 1 segment sums, so in a prefix, or
+        # the node total, no row goes through more than m = n + S roundings:
+        # the sum is within gamma_m = m u / (1 - m u) times its absolute sum of
+        # the exact one (Higham, Accuracy and Stability of Numerical
+        # Algorithms, ch. 4).  A left side is a rounded difference of two
+        # prefixes, a right side one of the total and the left side; each
+        # rounding adds under gamma_m T, so a side is within 6 gamma_m T, T
+        # being the node total of the non-negative amounts.
+        m = n + bounds.size - 1
+        sum_error = 6.0 * m * _U / (1.0 - m * _U) * float(amount_total.sum())
+        errors = sum_error * (1.0 / n_left + 1.0 / (n - n_left)) + _SCREEN_ROUNDING
         rows = np.flatnonzero(feasible)
         for i, beta, error in zip(rows.tolist(), betas[rows].tolist(), errors[rows].tolist()):
             gap = abs(beta - best_beta)
             found = None
-            if screened and abs(gap - BETA_TIE_TOLERANCE) <= error + best_error:
+            if stat.n_amounts and abs(gap - BETA_TIE_TOLERANCE) <= error + best_error:
                 # The screened betas cannot decide this comparison: decide
                 # it on exact ones.
                 found = exact(j, values[keep[i]])

@@ -190,8 +190,6 @@ def build_tree(
     alpha: int = 100,
     *,
     max_thresholds: int | None = None,
-    threads: int = 1,
-    keep_leaf_indices: bool = True,
 ) -> MetaTree:
     """Grow a meta tree on ``table`` for ``metric``.
 
@@ -223,13 +221,12 @@ def build_tree(
 
     def grow(view, value: MetricValue, depth: int) -> Node:
         if depth < stopping.max_depth:
-            found = best_split(view, metric, config, threads=threads)
+            found = best_split(view, metric, config)
             if found is not None and found.beta >= stopping.min_beta:
                 left = grow(found.left, found.e_left, depth + 1)
                 right = grow(found.right, found.e_right, depth + 1)
                 return Internal(found.candidate, left, right)
-        indices = view.indices if keep_leaf_indices else None
-        return Leaf(next(ids), len(view), value, indices)
+        return Leaf(next(ids), len(view), value, view.indices)
 
     root = grow(root_view, root_value, 0)
     return MetaTree(

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from statistics import NormalDist
 
 import pytest
 
@@ -319,6 +320,30 @@ def test_fit_rejects_non_finite_min_beta(tmp_path, setting, message):
     assert p.returncode == 1
     assert p.stderr.decode() == f"perfex fit: {message}\n"
     assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("level", ["1", "0", "2", "inf", "nan", "high", "1e-17"])
+def test_fit_rejects_confidence_outside_the_unit_interval(tmp_path, level):
+    (tmp_path / "t.csv").write_text("x,__true__,__pred__\n1,a,a\n2,b,b\n3,a,b\n")
+    p = run_cli(["fit", "--data", "t.csv", "--out", "t.json", "--alpha", "1",
+                 "--confidence", level], tmp_path)
+    assert p.returncode == 2
+    lines = [line for line in p.stderr.decode().splitlines() if repr(level) in line]
+    assert lines == [
+        f"perfex fit: error: argument --confidence: must be between 0 and 1, "
+        f"exclusive, got {level!r}"
+    ]
+    assert b"Traceback" not in p.stderr
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_fit_confidence_level_sets_the_interval_z(tmp_path):
+    (tmp_path / "t.csv").write_text("x,__true__,__pred__\n1,a,a\n2,b,b\n3,a,b\n")
+    p = run_cli(["fit", "--data", "t.csv", "--out", "t.json", "--alpha", "1",
+                 "--confidence", "0.5"], tmp_path)
+    assert p.returncode == 0, p.stderr
+    stopping = json.loads((tmp_path / "t.json").read_text())["stopping"]
+    assert stopping["confidence_z"] == NormalDist().inv_cdf(0.75)
 
 
 def test_threads_env_must_be_an_integer(tmp_path):

@@ -117,6 +117,36 @@ def test_load_header_contract():
         load_table(b"__true__,__pred__\na,a\n")
 
 
+def test_duplicate_feature_names_are_a_data_format_error():
+    with pytest.raises(DataFormatError, match=r"^duplicate column 'x'$"):
+        load_table(b"x,y,x,__true__,__pred__\n1,2,3,a,b\n")
+
+
+def test_duplicate_score_columns_are_a_data_format_error():
+    csv_bytes = b"x,__true__,__pred__,__score_a,__score_b,__score_a\n1,a,a,0.5,0.5,0\n"
+    with pytest.raises(DataFormatError, match=r"^duplicate column '__score_a'$"):
+        load_table(csv_bytes)
+
+
+def test_score_columns_need_two_named_classes():
+    with pytest.raises(DataFormatError, match="one score column '__score_a'"):
+        load_table(b"x,__true__,__pred__,__score_a\n1,a,a,1\n")
+    with pytest.raises(DataFormatError, match="'__score_' names no class"):
+        load_table(b"x,__true__,__pred__,__score_a,__score_\n1,a,a,0.5,0.5\n")
+    with pytest.raises(DataFormatError, match="one class only"):
+        load_table(b"x,__true__,__pred__\n1,a,a\n2,a,a\n")
+
+
+def test_bad_utf8_is_a_data_format_error_naming_the_row():
+    with pytest.raises(DataFormatError, match=r"^row 1: text is not valid UTF-8$"):
+        load_table(b"x,__true__,__pred__\n\xff,a,a\n")
+    # Rows are records: a quoted newline does not start a new row.
+    with pytest.raises(DataFormatError, match=r"^row 2: "):
+        load_table(b'x,__true__,__pred__\n"1\n2",a,b\n"3\n\xff",a,a\n')
+    with pytest.raises(DataFormatError, match=r"^header is not valid UTF-8$"):
+        load_table(b"\xffx,__true__,__pred__\n1,a,b\n")
+
+
 def test_empty_table_is_an_error():
     with pytest.raises(EmptyTableError):
         load_table(b"x,__true__,__pred__\n")

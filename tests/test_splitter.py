@@ -177,23 +177,6 @@ def test_result_sides_partition_the_view():
     assert (np.diff(got.left.indices) > 0).all()
 
 
-def test_threads_do_not_change_the_result():
-    rng = np.random.default_rng(47)
-    for _ in range(10):
-        plain = random_plain_table(rng, max_rows=120, with_scores=False)
-        t = plain_to_table(plain)
-        serial = best_split(t.full_view(), ACC, SearchConfig(2, 1), threads=1)
-        pooled = best_split(t.full_view(), ACC, SearchConfig(2, 1), threads=4)
-        if serial is None:
-            assert pooled is None
-            continue
-        assert serial.candidate == pooled.candidate
-        assert serial.beta == pooled.beta
-        assert np.array_equal(serial.left.indices, pooled.left.indices)
-    with pytest.raises(ValueError):
-        best_split(t.full_view(), ACC, SearchConfig(2, 1), threads=0)
-
-
 def test_matches_naive_exhaustive_search():
     rng = np.random.default_rng(53)
     for _ in range(40):
@@ -230,7 +213,8 @@ def test_matches_naive_exhaustive_search():
 def test_float_screen_near_tie_goes_to_first_candidate():
     # x0 <= 0 and x1 <= 199 both isolate the last row, so their exact betas
     # are equal and the first in order must win.  The sweep adds up the other
-    # rows in row order for x0 and grouped by x1 for x1; the two float sums,
+    # rows as one segment, in row order, for x0, and as 200 segments, one per
+    # value of x1, then a running sum over them, for x1; the two float sums,
     # and so the two screened betas, differ by more than the tie tolerance.
     # Only the exact recheck of undecided comparisons gets the tie right.
     n = 2000
