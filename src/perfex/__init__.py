@@ -45,7 +45,6 @@ from .splitter import (
     SplitCandidate,
     SplitResult,
     best_split,
-    candidate_thresholds,
 )
 from .synth import (
     AxisThresholdClassifier,
@@ -53,14 +52,12 @@ from .synth import (
     GaussianDensityClassifier,
     GaussianSpec,
     LabeledDataset,
-    NearestCentroidClassifier,
     blob_specs,
     flip_labels,
     generate_blobs,
     generate_two_gaussian,
     predict_table,
     preset_example2d,
-    preset_two_gaussian,
     split_dataset,
     two_gaussian_classifier,
 )
@@ -99,7 +96,6 @@ __all__ = [
     "MetricValue",
     "MissingScoresError",
     "NUMERIC",
-    "NearestCentroidClassifier",
     "PerfexError",
     "PredictionTable",
     "SchemaMismatchError",
@@ -115,7 +111,6 @@ __all__ = [
     "best_split",
     "blob_specs",
     "build_tree",
-    "candidate_thresholds",
     "default_phrase",
     "deserialize_tree",
     "evaluate_metric",
@@ -129,7 +124,6 @@ __all__ = [
     "parse_metric",
     "predict_table",
     "preset_example2d",
-    "preset_two_gaussian",
     "render",
     "serialize_tree",
     "split_dataset",

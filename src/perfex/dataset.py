@@ -82,12 +82,6 @@ class FeatureSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
-    def index(self, name: str) -> int:
-        for j, f in enumerate(self.features):
-            if f.name == name:
-                return j
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class ClassSet:
@@ -187,25 +181,20 @@ class PredictionTable:
                             f"binary feature {feature.name!r} has a value outside {{0, 1}}",
                             row=int(np.flatnonzero(off)[0]) + 1,
                         )
-            arr.flags.writeable = False
             encoded.append(arr)
-        self._columns = tuple(encoded)
 
-        self._y = _codes(
+        y = _codes(
             y_true, classes.labels, UnknownClassError,
             lambda v: f"label {v!r} in {TRUE_COLUMN} is not in the class set",
         )
-        self._pred = _codes(
+        pred = _codes(
             y_pred, classes.labels, UnknownClassError,
             lambda v: f"label {v!r} in {PRED_COLUMN} is not in the class set",
         )
-        self._y.flags.writeable = False
-        self._pred.flags.writeable = False
 
         self.scores_are_probabilities = bool(scores_are_probabilities)
-        if scores is None:
-            self._scores = None
-        else:
+        sc = None
+        if scores is not None:
             sc = np.asarray(scores, dtype=np.float64).copy()
             if sc.shape != (n, classes.k):
                 raise DataFormatError(
@@ -224,12 +213,17 @@ class PredictionTable:
                         "score row does not sum to 1",
                         row=int(np.flatnonzero(off)[0]) + 1,
                     )
-            sc.flags.writeable = False
-            self._scores = sc
+        self._set_arrays(encoded, y, pred, sc)
 
-        correct = self._y == self._pred
-        correct.flags.writeable = False
-        self._correct = correct
+    def _set_arrays(self, columns, y, pred, scores) -> None:
+        """Store freshly made arrays read-only and derive ``correct`` from
+        the label codes."""
+        self._columns = tuple(columns)
+        self._y, self._pred, self._scores = y, pred, scores
+        self._correct = y == pred
+        for arr in (*columns, y, pred, scores, self._correct):
+            if arr is not None:
+                arr.flags.writeable = False
 
     # -- basic accessors ---------------------------------------------------
 
@@ -285,24 +279,13 @@ class PredictionTable:
         out = object.__new__(PredictionTable)
         out.schema = self.schema
         out.classes = self.classes
-        cols = []
-        for arr in self._columns:
-            sub = arr[idx]
-            sub.flags.writeable = False
-            cols.append(sub)
-        out._columns = tuple(cols)
-        out._y = self._y[idx]
-        out._pred = self._pred[idx]
-        out._y.flags.writeable = False
-        out._pred.flags.writeable = False
         out.scores_are_probabilities = self.scores_are_probabilities
-        if self._scores is None:
-            out._scores = None
-        else:
-            out._scores = self._scores[idx]
-            out._scores.flags.writeable = False
-        out._correct = out._y == out._pred
-        out._correct.flags.writeable = False
+        out._set_arrays(
+            [arr[idx] for arr in self._columns],
+            self._y[idx],
+            self._pred[idx],
+            None if self._scores is None else self._scores[idx],
+        )
         return out
 
     def equals(self, other: "PredictionTable") -> bool:
@@ -385,6 +368,20 @@ def _require_cells(cells, column: str) -> None:
         )
 
 
+def _records(text: str) -> list[list[str]]:
+    """The CSV records of ``text``, header first.  A record the ``csv`` module
+    rejects (a field over its size limit) raises a DataFormatError naming it."""
+    records = []
+    try:
+        for record in csv.reader(io.StringIO(text, newline="")):
+            records.append(record)
+    except csv.Error as exc:
+        if not records:
+            raise DataFormatError(f"header: {exc}") from None
+        raise DataFormatError(str(exc), row=len(records)) from None
+    return records
+
+
 def _infer_feature(name: str, cells) -> Feature:
     # Inference rule: a column with any cell float() rejects is categorical;
     # one whose distinct values sit inside {0, 1} is binary; everything else
@@ -425,7 +422,8 @@ def load_table(
     ------
     DataFormatError
         On any malformed content; the offending 1-based data row is named
-        where applicable.  After every row's width is checked, cells are
+        where applicable.  A record the ``csv`` module rejects comes first,
+        then the header.  After every row's width is checked, cells are
         checked column by column, left to right, so the error names the
         first bad cell of the first bad column.  An empty table is an error.
     UnknownClassError
@@ -444,16 +442,14 @@ def load_table(
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The bad byte's row: the last record of the text before it plus a stand-in.
-        head = data[: exc.start].decode("utf-8") + "?"
-        row = sum(1 for _ in csv.reader(io.StringIO(head, newline=""))) - 1
+        row = len(_records(data[: exc.start].decode("utf-8") + "?")) - 1
         where = "text" if row else "header"
         raise DataFormatError(f"{where} is not valid UTF-8", row=row or None) from None
 
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty file: no header") from None
+    rows = _records(text)
+    if not rows:
+        raise DataFormatError("empty file: no header")
+    header = rows.pop(0)
 
     if TRUE_COLUMN not in header:
         raise DataFormatError(f"header has no {TRUE_COLUMN} column")
@@ -483,7 +479,6 @@ def load_table(
             raise DataFormatError("declared classes do not match score columns")
         classes = declared
 
-    rows = list(reader)
     if not rows:
         raise EmptyTableError("table has no data rows")
     width = len(header)

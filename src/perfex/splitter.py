@@ -114,19 +114,16 @@ class SearchConfig:
             raise ValueError("max_thresholds must be at least 1 (or None)")
 
 
-def candidate_thresholds(values: np.ndarray, max_thresholds: int | None = None) -> np.ndarray:
-    """Thresholds to try for one numeric column: the distinct values, or a
-    deduplicated set of nearest-rank quantiles when there are too many.
+def _thresholds(ordered: np.ndarray, cap: int | None) -> np.ndarray:
+    """Thresholds to try for one sorted numeric column: its distinct values,
+    or a deduplicated set of nearest-rank quantiles when there are more than
+    ``cap``.
 
     With a cap of ``c`` the thresholds are the ``q/(c+1)`` quantiles of the
     column for ``q = 1..c``, where quantile ``p`` of ``n`` sorted values is
-    the one at index ``ceil(p*n) - 1``.
+    the one at index ``ceil(p*n) - 1``.  A ``cap`` of None keeps up to
+    AUTO_UNIQUE_LIMIT distinct values and takes AUTO_CAP quantiles beyond.
     """
-    return _thresholds(np.sort(np.asarray(values, dtype=np.float64)), max_thresholds)
-
-
-def _thresholds(ordered: np.ndarray, cap: int | None) -> np.ndarray:
-    """:func:`candidate_thresholds` of an already sorted column."""
     first = np.ones(ordered.size, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
     uniq = ordered[first]

@@ -5,10 +5,9 @@ spawned from the caller's seed, one stream per class, so adding a class or
 changing its count never perturbs the draws of another class.
 
 The built-in classifiers are deliberately simple (an analytic density rule,
-nearest centroid, a single axis threshold, a small Gini-grown decision
-tree).  They exist so a full table with predictions and scores can be
-produced from nothing; any real model's predictions enter through the same
-CSV contract.
+a single axis threshold, a small Gini-grown decision tree).  They exist so
+a full table with predictions and scores can be produced from nothing; any
+real model's predictions enter through the same CSV contract.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .dataset import (
     PredictionTable,
     stratified_split_indices,
 )
-from .splitter import candidate_thresholds
+from .splitter import _thresholds
 
 
 @dataclass(frozen=True)
@@ -196,28 +195,6 @@ class GaussianDensityClassifier:
         return dens / dens.sum(axis=1, keepdims=True)
 
 
-class NearestCentroidClassifier:
-    """Predicts the nearest centroid; scores are a softmax of negative
-    Euclidean distances."""
-
-    def __init__(self, centroids):
-        cents = tuple(centroids)
-        if len(cents) < 2:
-            raise ValueError("need at least two centroids")
-        self.class_labels = tuple(label for label, _ in cents)
-        self._centers = np.array([c for _, c in cents], dtype=np.float64)
-        if self._centers.ndim == 1:
-            self._centers = self._centers[:, None]
-
-    def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        d = np.sqrt(((X[:, None, :] - self._centers[None, :, :]) ** 2).sum(axis=2))
-        z = -d
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-
 class AxisThresholdClassifier:
     """Hard rule on one feature: ``below`` when x < threshold, else ``above``.
     Scores are one-hot."""
@@ -239,16 +216,18 @@ class AxisThresholdClassifier:
 class CartClassifier:
     """A small depth-limited decision tree grown on Gini impurity.
 
-    Splits use the same "x <= threshold goes left" convention as the meta
-    tree, with thresholds enumerated by :func:`candidate_thresholds`.  Leaf
-    scores are the training class frequencies in that leaf.
+    Splits use the meta tree's "x <= threshold goes left" convention and its
+    thresholds.  Like the meta tree's split search, each node sorts every
+    feature once and scores all of its thresholds in one sweep.  The first
+    split of least weighted impurity wins, and only if that impurity is below
+    the node's own.  Leaf scores are the training class frequencies in that
+    leaf.
     """
 
-    def __init__(self, max_depth: int = 3, max_thresholds: int | None = None):
+    def __init__(self, max_depth: int = 3):
         if max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         self.max_depth = max_depth
-        self.max_thresholds = max_thresholds
         self.class_labels: tuple[str, ...] = ()
         self._root = None
 
@@ -258,42 +237,40 @@ class CartClassifier:
         X = dataset.features
         y = dataset.label_codes()
 
-        def gini(counts: np.ndarray) -> float:
-            n = counts.sum()
-            if n == 0:
-                return 0.0
-            p = counts / n
-            return 1.0 - float((p * p).sum())
+        def gini(counts: np.ndarray) -> np.ndarray:
+            """Gini impurity of each row of class counts (no empty rows)."""
+            p = counts / counts.sum(axis=1, keepdims=True)
+            return 1.0 - (p * p).sum(axis=1)
 
         def grow(idx: np.ndarray, depth: int):
-            counts = np.bincount(y[idx], minlength=k).astype(np.float64)
             node_n = idx.size
-            if depth >= self.max_depth or node_n < 2 or gini(counts) == 0.0:
+            counts = np.bincount(y[idx], minlength=k).astype(np.float64)
+            best = gini(counts[None])[0]
+            if depth >= self.max_depth or node_n < 2 or best == 0.0:
                 return ("leaf", counts / node_n)
-            best = None  # (impurity, feature, threshold, mask)
+            onehot = y[idx][:, None] == np.arange(k)
+            split = None  # (feature, threshold)
             for j in range(X.shape[1]):
                 col = X[idx, j]
                 order = np.argsort(col, kind="stable")
-                col_sorted = col[order]
-                labels_sorted = y[idx][order]
-                onehot = np.zeros((node_n, k), dtype=np.int64)
-                onehot[np.arange(node_n), labels_sorted] = 1
-                cum = np.cumsum(onehot, axis=0)
-                for v in candidate_thresholds(col, self.max_thresholds):
-                    n_left = int(np.searchsorted(col_sorted, v, side="right"))
-                    if n_left == 0 or n_left == node_n:
-                        continue
-                    left_counts = cum[n_left - 1].astype(np.float64)
-                    right_counts = counts - left_counts
-                    impurity = (
-                        n_left * gini(left_counts)
-                        + (node_n - n_left) * gini(right_counts)
-                    ) / node_n
-                    if best is None or impurity < best[0]:
-                        best = (impurity, j, float(v))
-            if best is None or best[0] >= gini(counts):
+                ordered = col[order]
+                thresholds = _thresholds(ordered, None)
+                # x <= threshold sends a prefix of the sorted rows left.
+                n_left = np.searchsorted(ordered, thresholds, side="right")
+                inner = n_left < node_n
+                if not inner.any():
+                    continue
+                thresholds, n_left = thresholds[inner], n_left[inner]
+                left = np.cumsum(onehot[order], axis=0)[n_left - 1].astype(np.float64)
+                g = gini(np.concatenate([left, counts - left]))
+                r = n_left.size
+                impurity = (n_left * g[:r] + (node_n - n_left) * g[r:]) / node_n
+                i = int(np.argmin(impurity))
+                if impurity[i] < best:
+                    best, split = impurity[i], (j, float(thresholds[i]))
+            if split is None:
                 return ("leaf", counts / node_n)
-            _, j, v = best
+            j, v = split
             mask = X[idx, j] <= v
             left = grow(idx[mask], depth + 1)
             right = grow(idx[~mask], depth + 1)
@@ -371,12 +348,6 @@ def two_gaussian_classifier(
     return GaussianDensityClassifier(
         (("0", (mu0,), sigma), ("1", (mu0 + delta,), sigma))
     )
-
-
-def preset_two_gaussian(delta: float, n_per_class: int, seed) -> PredictionTable:
-    """Two-Gaussian data scored by its own matched density classifier."""
-    data = generate_two_gaussian(delta, n_per_class, seed)
-    return predict_table(two_gaussian_classifier(delta), data)
 
 
 EXAMPLE2D_FLIP_THRESHOLD = 12.0

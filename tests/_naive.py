@@ -189,6 +189,62 @@ def naive_best_split(plain, alpha, min_support, value_fn, cap=None, tie_tol=1e-1
     return best
 
 
+# -- CART reference -----------------------------------------------------------
+
+
+def naive_cart(columns, y, k, max_depth):
+    """A Gini-grown tree that scores one threshold at a time, in the shape
+    ``CartClassifier`` builds: ``("leaf", class frequencies)`` or
+    ``("split", feature, threshold, left, right)``.
+
+    ``columns`` are lists of floats and ``y`` class indices below ``k``.
+    Features go in index order and thresholds (:func:`naive_thresholds`) in
+    ascending order; a candidate replaces the incumbent only on a strictly
+    lower weighted impurity, and a node splits only if the best impurity is
+    below its own.  Squared class shares are summed in class order, as numpy
+    sums fewer than eight of them, so impurities match bit for bit.
+    """
+
+    def gini(counts):
+        n = sum(counts)
+        return 1.0 - sum((c / n) * (c / n) for c in counts)
+
+    def grow(rows, depth):
+        counts = [0] * k
+        for i in rows:
+            counts[y[i]] += 1
+        n = len(rows)
+        leaf = ("leaf", [c / n for c in counts])
+        if depth >= max_depth or n < 2 or gini(counts) == 0.0:
+            return leaf
+        best = None  # (impurity, feature, threshold)
+        for j, col in enumerate(columns):
+            for v in naive_thresholds([col[i] for i in rows]):
+                left = [0] * k
+                for i in rows:
+                    if col[i] <= v:
+                        left[y[i]] += 1
+                n_left = sum(left)
+                if n_left == n:
+                    continue
+                right = [c - c_left for c, c_left in zip(counts, left)]
+                impurity = (n_left * gini(left) + (n - n_left) * gini(right)) / n
+                if best is None or impurity < best[0]:
+                    best = (impurity, j, v)
+        if best is None or best[0] >= gini(counts):
+            return leaf
+        _, j, v = best
+        return (
+            "split",
+            j,
+            v,
+            grow([i for i in rows if columns[j][i] <= v], depth + 1),
+            grow([i for i in rows if columns[j][i] > v], depth + 1),
+        )
+
+    return grow(list(range(len(y))), 0)
+
+
 # -- random test tables ------------------------------------------------------
 
 

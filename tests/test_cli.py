@@ -337,6 +337,17 @@ def test_fit_rejects_confidence_outside_the_unit_interval(tmp_path, level):
     assert not (tmp_path / "t.json").exists()
 
 
+def test_fit_names_the_row_of_an_oversized_field(tmp_path):
+    big = "a" * 200_000
+    (tmp_path / "t.csv").write_text(f"x,__true__,__pred__\n1,a,b\n{big},a,a\n")
+    p = run_cli(["fit", "--data", "t.csv", "--out", "t.json"], tmp_path)
+    assert p.returncode == 1
+    assert p.stderr.decode() == (
+        "perfex fit: row 2: field larger than field limit (131072)\n"
+    )
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_fit_confidence_level_sets_the_interval_z(tmp_path):
     (tmp_path / "t.csv").write_text("x,__true__,__pred__\n1,a,a\n2,b,b\n3,a,b\n")
     p = run_cli(["fit", "--data", "t.csv", "--out", "t.json", "--alpha", "1",

@@ -147,6 +147,18 @@ def test_bad_utf8_is_a_data_format_error_naming_the_row():
         load_table(b"\xffx,__true__,__pred__\n1,a,b\n")
 
 
+def test_oversized_field_is_a_data_format_error_naming_the_record():
+    big = b"a" * 200_000
+    limit = r"field larger than field limit \(131072\)$"
+    with pytest.raises(DataFormatError, match=r"^row 3: " + limit):
+        load_table(b'x,__true__,__pred__\n1,a,b\n"3\n4",a,a\n' + big + b",a,b\n")
+    with pytest.raises(DataFormatError, match=r"^header: " + limit):
+        load_table(big + b",__true__,__pred__\n1,a,b\n")
+    # Before a bad UTF-8 byte, the oversized record is the first error.
+    with pytest.raises(DataFormatError, match=r"^row 1: " + limit):
+        load_table(b"x,__true__,__pred__\n" + big + b",a,b\n\xff,a,a\n")
+
+
 def test_empty_table_is_an_error():
     with pytest.raises(EmptyTableError):
         load_table(b"x,__true__,__pred__\n")

@@ -7,10 +7,9 @@ from perfex import (
     MetricSpec,
     SearchConfig,
     best_split,
-    candidate_thresholds,
 )
 from perfex.metrics import evaluate_indices
-from perfex.splitter import _conditions
+from perfex.splitter import _conditions, _thresholds
 
 from tests._naive import naive_best_split, naive_thresholds, random_plain_table
 from tests._tables import WORKED_CORRECT, WORKED_Z, worked_example_table, make_table, plain_to_table
@@ -29,13 +28,13 @@ def value_fn(spec, table):
 
 
 def test_candidate_thresholds_distinct_values():
-    got = candidate_thresholds(np.array([1.0, 1.0, 2.0, 3.0]))
+    got = _thresholds(np.sort(np.array([1.0, 1.0, 2.0, 3.0])), None)
     assert list(got) == [1.0, 2.0, 3.0]
 
 
 def test_candidate_thresholds_capped_to_quantiles():
     values = np.arange(1000, dtype=np.float64)
-    got = candidate_thresholds(values, max_thresholds=9)
+    got = _thresholds(np.sort(values), 9)
     # Nearest-rank deciles: index ceil(q/10 * 1000) - 1 of the sorted values.
     assert list(got) == [99.0, 199.0, 299.0, 399.0, 499.0, 599.0, 699.0, 799.0, 899.0]
     assert list(got) == naive_thresholds(list(values), cap=9)
@@ -43,15 +42,15 @@ def test_candidate_thresholds_capped_to_quantiles():
 
 def test_candidate_thresholds_cap_dedups():
     values = np.array([1.0] * 90 + [2.0] * 10)
-    got = candidate_thresholds(values, max_thresholds=4)
+    got = _thresholds(np.sort(values), 4)
     assert list(got) == [1.0, 2.0]
 
 
 def test_candidate_thresholds_automatic_rule():
     uniq256 = np.arange(256, dtype=np.float64)
-    assert candidate_thresholds(uniq256).size == 256
+    assert _thresholds(np.sort(uniq256), None).size == 256
     uniq300 = np.arange(300, dtype=np.float64)
-    capped = candidate_thresholds(uniq300)
+    capped = _thresholds(np.sort(uniq300), None)
     assert capped.size <= 255
     assert list(capped) == naive_thresholds(list(uniq300))
 

@@ -8,22 +8,30 @@ import pytest
 from perfex import (
     AxisThresholdClassifier,
     CartClassifier,
+    ClassSet,
     GaussianDensityClassifier,
     GaussianSpec,
+    LabeledDataset,
     MetricSpec,
-    NearestCentroidClassifier,
     blob_specs,
     flip_labels,
     generate_blobs,
     generate_two_gaussian,
     predict_table,
     preset_example2d,
-    preset_two_gaussian,
     split_dataset,
     two_gaussian_classifier,
 )
 from perfex.dataset import table_to_csv_text
 from perfex.metrics import evaluate
+
+from tests._naive import naive_cart
+
+
+def two_gaussian_table(delta, n_per_class, seed):
+    """Two-Gaussian data scored by its own matched density classifier."""
+    data = generate_two_gaussian(delta, n_per_class, seed)
+    return predict_table(two_gaussian_classifier(delta), data)
 
 
 def test_two_gaussian_sample_statistics():
@@ -40,10 +48,10 @@ def test_two_gaussian_sample_statistics():
 
 
 def test_generation_is_deterministic_per_seed():
-    a = preset_two_gaussian(2.0, 500, seed=9)
-    b = preset_two_gaussian(2.0, 500, seed=9)
+    a = two_gaussian_table(2.0, 500, seed=9)
+    b = two_gaussian_table(2.0, 500, seed=9)
     assert table_to_csv_text(a) == table_to_csv_text(b)
-    c = preset_two_gaussian(2.0, 500, seed=10)
+    c = two_gaussian_table(2.0, 500, seed=10)
     assert table_to_csv_text(a) != table_to_csv_text(c)
 
 
@@ -83,23 +91,16 @@ def test_error_region_mass_matches_the_overlap():
     # Misclassification happens where the wrong density wins; for equal
     # sigmas that is the tail beyond delta/2, with mass Phi(-delta/(2*sigma)).
     delta, sigma = 3.0, 2.0
-    t = preset_two_gaussian(delta, 20000, seed=2)
+    t = two_gaussian_table(delta, 20000, seed=2)
     acc = evaluate(MetricSpec.accuracy(), t.full_view())
     phi = 0.5 * (1 + math.erf((-delta / (2 * sigma)) / math.sqrt(2)))
     assert acc.value == pytest.approx(1 - phi, abs=0.012)
 
 
 def test_delta_zero_gives_coin_flip_accuracy():
-    t = preset_two_gaussian(0.0, 5000, seed=3)
+    t = two_gaussian_table(0.0, 5000, seed=3)
     acc = evaluate(MetricSpec.accuracy(), t.full_view())
     assert acc.value == pytest.approx(0.5, abs=0.03)
-
-
-def test_nearest_centroid_prediction_and_scores():
-    clf = NearestCentroidClassifier((("a", (0.0, 0.0)), ("b", (10.0, 0.0))))
-    scores = clf.score_matrix(np.array([[1.0, 0.0], [9.0, 1.0], [5.0, 0.0]]))
-    assert scores.argmax(axis=1).tolist() == [0, 1, 0]  # tie at 5 goes first
-    assert np.allclose(scores.sum(axis=1), 1.0)
 
 
 def test_axis_threshold_is_a_hard_rule():
@@ -126,6 +127,39 @@ def test_cart_beats_majority_on_blobs():
     t = predict_table(clf, ds)
     acc = evaluate(MetricSpec.accuracy(), t.full_view()).value
     assert acc > 0.55  # majority class would give about a third
+
+
+def bits(node):
+    """A fitted tree with every float as its exact hex text."""
+    if node[0] == "leaf":
+        return ("leaf", [float(p).hex() for p in node[1]])
+    _, j, v, left, right = node
+    return ("split", j, float(v).hex(), bits(left), bits(right))
+
+
+def test_cart_matches_the_per_threshold_reference():
+    # Integer-valued features tie often, so many thresholds score alike and
+    # the first-minimum rule and the leaf check decide the tree.
+    rng = np.random.default_rng(11)
+    labels = ("a", "b", "c")
+    # First a table no split improves: both values hold one "a" and one "b",
+    # and every impurity is exactly 0.5.
+    tables = [(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1]))]
+    for _ in range(40):
+        n = int(rng.integers(2, 120))
+        X = rng.integers(0, 6, size=(n, int(rng.integers(1, 4)))).astype(np.float64)
+        tables.append((X, (X[:, 0].astype(np.int64) + rng.integers(0, 2, size=n)) % 3))
+    splits = 0
+    for X, y in tables:
+        m = X.shape[1]
+        ds = LabeledDataset(
+            X, tuple(labels[c] for c in y), tuple(f"x{j}" for j in range(m)), ClassSet(labels)
+        )
+        depth = int(rng.integers(1, 5))
+        got = bits(CartClassifier(max_depth=depth).fit(ds)._root)
+        assert got == bits(naive_cart(X.T.tolist(), y.tolist(), 3, depth))
+        splits += str(got).count("split")
+    assert splits > 40  # most trees split, many more than once
 
 
 def test_cart_requires_fit_before_scoring():
