@@ -13,19 +13,29 @@ columns in schema order, then ``__true__`` and ``__pred__`` holding class
 labels, then optionally one ``__score_<class>`` column per class, in class-set
 order.  Files are UTF-8 with ``.`` as the decimal separator.  Missing cells
 are rejected at load time; there is no imputation.
+
+Loads and writes stream in chunks of ``_CHUNK_ROWS`` records, so peak memory
+stays near the size of the finished arrays.  A load reads the source once,
+unless an inferred column turns out to hold text only after its first chunk;
+it then reads the source again with that column categorical.  Either way a
+malformed file raises the same error, found in the documented order.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._files import atomic_write_text
+# perfbench/launcher.py wraps perfex.dataset.atomic_write_text by name.
+from ._files import atomic_open, atomic_write_text  # noqa: F401
 from .errors import DataFormatError, EmptyTableError, UnknownClassError
 
 NUMERIC = "numeric"
@@ -110,15 +120,44 @@ class ClassSet:
             raise KeyError(label) from None
 
 
+class _Labels:
+    """A column of labels or categories, gathered chunk by chunk as int32
+    codes into ``index``, which keys the distinct values in order of first
+    appearance."""
+
+    def __init__(self, cells=()):
+        self.index: dict = {}
+        self.chunks: list[np.ndarray] = []
+        self.add(cells)
+
+    def add(self, cells) -> None:
+        index = self.index
+        for v in dict.fromkeys(cells):
+            index.setdefault(v, len(index))
+        self.chunks.append(np.fromiter(map(index.__getitem__, cells), np.int32, len(cells)))
+
+    def __len__(self) -> int:
+        return sum(chunk.size for chunk in self.chunks)
+
+    def codes(self) -> np.ndarray:
+        if len(self.chunks) > 1:
+            self.chunks = [np.concatenate(self.chunks)]
+        return self.chunks[0]
+
+    def first_row(self, value) -> int:
+        """1-based row where ``value`` first appears."""
+        return int(np.argmax(self.codes() == self.index[value])) + 1
+
+
 def _codes(values, names, error, message) -> np.ndarray:
     """Index of each value in ``names`` as int32; the first value missing from
     ``names`` raises ``error(message(value))`` naming its 1-based row."""
+    labels = values if isinstance(values, _Labels) else _Labels(values)
     lookup = {name: i for i, name in enumerate(names)}
-    try:
-        return np.array([lookup[v] for v in values], dtype=np.int32)
-    except KeyError as exc:
-        (v,) = exc.args
-        raise error(message(v), row=list(values).index(v) + 1) from None
+    for v in labels.index:
+        if v not in lookup:
+            raise error(message(v), row=labels.first_row(v))
+    return np.array([lookup[v] for v in labels.index], np.int32)[labels.codes()]
 
 
 class PredictionTable:
@@ -342,6 +381,10 @@ class SubsetView:
 
 # -- CSV loading ----------------------------------------------------------
 
+# Records per chunk: a load holds the strings of one chunk at a time, a
+# write the Python values of one chunk.
+_CHUNK_ROWS = 8192
+
 
 def _parse_float(cell: str, row: int, column: str) -> float:
     if cell == "":
@@ -357,15 +400,15 @@ def _parse_float(cell: str, row: int, column: str) -> float:
     return v
 
 
-def _parse_column(cells, column: str) -> list[float]:
-    return [_parse_float(cell, i, column) for i, cell in enumerate(cells, 1)]
-
-
-def _require_cells(cells, column: str) -> None:
-    if "" in cells:
-        raise DataFormatError(
-            f"missing value in column {column!r}", row=cells.index("") + 1
-        )
+def _first_bad_cell(cells, first_row: int, column: str) -> DataFormatError:
+    """The error ``_parse_float`` gives for the first bad cell of a chunk
+    that holds one."""
+    for row, cell in enumerate(cells, first_row):
+        try:
+            _parse_float(cell, row, column)
+        except DataFormatError as exc:
+            return exc
+    raise AssertionError("the chunk has no bad cell")
 
 
 def _records(text: str) -> list[list[str]]:
@@ -382,62 +425,9 @@ def _records(text: str) -> list[list[str]]:
     return records
 
 
-def _infer_feature(name: str, cells) -> Feature:
-    # Inference rule: a column with any cell float() rejects is categorical;
-    # one whose distinct values sit inside {0, 1} is binary; everything else
-    # is numeric.  "nan" and "inf" count as numbers, so a non-finite cell is
-    # rejected by _parse_float rather than read as a category.
-    try:
-        distinct = set(map(float, cells))
-    except ValueError:
-        return Feature(name, CATEGORICAL, tuple(sorted(set(cells))))
-    return Feature(name, BINARY if distinct <= {0.0, 1.0} else NUMERIC)
-
-
-def load_table(
-    source,
-    schema: FeatureSchema | None = None,
-    classes: ClassSet | None = None,
-    *,
-    scores_are_probabilities: bool = True,
-) -> PredictionTable:
-    """Load a prediction table from CSV.
-
-    Parameters
-    ----------
-    source:
-        A filesystem path, ``bytes``, or a readable file object.
-    schema:
-        Optional schema.  When omitted, feature kinds are inferred from the
-        data: all-numeric columns with values inside {0, 1} become binary,
-        columns with non-numeric cells become categorical (categories sorted),
-        the rest numeric.
-    classes:
-        Optional declared class set.  When score columns are present their
-        order defines the class set and ``classes``, if also given, must
-        agree.  With neither, classes are the sorted distinct labels seen in
-        ``__true__`` and ``__pred__``.
-
-    Raises
-    ------
-    DataFormatError
-        On any malformed content; the offending 1-based data row is named
-        where applicable.  A record the ``csv`` module rejects comes first,
-        then the header.  After every row's width is checked, cells are
-        checked column by column, left to right, so the error names the
-        first bad cell of the first bad column.  An empty table is an error.
-    UnknownClassError
-        When a label is not in the declared class set.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode("utf-8")
+def _raise_record_error(data: bytes) -> None:
+    """Raise the DataFormatError for the first record of ``data`` that cannot
+    be read: invalid UTF-8, or a record the ``csv`` module rejects."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -445,12 +435,12 @@ def load_table(
         row = len(_records(data[: exc.start].decode("utf-8") + "?")) - 1
         where = "text" if row else "header"
         raise DataFormatError(f"{where} is not valid UTF-8", row=row or None) from None
+    _records(text)
 
-    rows = _records(text)
-    if not rows:
-        raise DataFormatError("empty file: no header")
-    header = rows.pop(0)
 
+def _read_header(header: list[str], classes: ClassSet | None):
+    """Check the header; return the position of ``__true__`` and the class
+    set, which the score columns define when there are any."""
     if TRUE_COLUMN not in header:
         raise DataFormatError(f"header has no {TRUE_COLUMN} column")
     true_at = header.index(TRUE_COLUMN)
@@ -471,53 +461,104 @@ def load_table(
         raise DataFormatError(f"one score column {score_headers[0]!r}; need one per class")
     if SCORE_PREFIX in score_headers:
         raise DataFormatError(f"score column {SCORE_PREFIX!r} names no class")
-    score_labels = [h[len(SCORE_PREFIX) :] for h in score_headers]
-
-    if score_labels:
-        declared = ClassSet(tuple(score_labels))
+    if score_headers:
+        declared = ClassSet(tuple(h[len(SCORE_PREFIX) :] for h in score_headers))
         if classes is not None and classes != declared:
             raise DataFormatError("declared classes do not match score columns")
         classes = declared
+    return true_at, classes
 
-    if not rows:
-        raise EmptyTableError("table has no data rows")
-    width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(
-                f"expected {width} cells, got {len(row)}", row=i + 1
+
+def _read(records, schema, classes, categorical: set[int], scores_are_probabilities):
+    """One pass over the CSV ``records``, chunk by chunk, straight into typed
+    columns.  Returns the table, or the inferred feature columns found to hold
+    text only after their first chunk: the caller reads again with those in
+    ``categorical``."""
+    header = next(records, None)
+    if header is None:
+        raise DataFormatError("empty file: no header")
+    try:
+        true_at, classes = _read_header(header, classes)
+    except DataFormatError:
+        collections.deque(records, maxlen=0)  # a record error later on comes first
+        raise
+    feature_names = header[:true_at]
+    mismatch = schema is not None and schema.names != tuple(feature_names)
+    declared = schema.features if schema is not None else ()
+    text_columns = {j for j, f in enumerate(declared) if f.kind == CATEGORICAL}
+    text_columns |= categorical | {true_at, true_at + 1}
+    labels = {j: _Labels() for j in text_columns}
+    numbers = {j: [] for j in range(len(header)) if j not in text_columns}
+    errors: dict[int, DataFormatError] = {}  # the first bad cell of each number column
+    width, n, width_error, late = len(header), 0, None, set()
+
+    for chunk in iter(lambda: list(itertools.islice(records, _CHUNK_ROWS)), []):
+        if width_error is None and set(map(len, chunk)) != {width}:
+            i = next(i for i, record in enumerate(chunk) if len(record) != width)
+            width_error = DataFormatError(
+                f"expected {width} cells, got {len(chunk[i])}", row=n + i + 1
             )
-    cells = list(zip(*rows))
-    del rows  # the columns hold the same strings; free the row lists early
+        if width_error is None and not mismatch:
+            for j, cells in enumerate(zip(*chunk)):
+                if j in labels:
+                    labels[j].add(cells)
+                    continue
+                try:
+                    values = np.fromiter(map(float, cells), np.float64, len(cells))
+                except ValueError:
+                    if schema is None and j < true_at:  # an inferred feature: categorical
+                        if n:
+                            late.add(j)
+                        else:
+                            del numbers[j]
+                            labels[j] = _Labels(cells)
+                        continue
+                    values = None
+                if values is None or not np.isfinite(values).all():
+                    if j not in errors:
+                        errors[j] = _first_bad_cell(cells, n + 1, header[j])
+                else:
+                    numbers[j].append(values)
+            if late:
+                return late
+        n += len(chunk)
 
-    raw_features = cells[:true_at]
-    if schema is None:
-        schema = FeatureSchema(tuple(map(_infer_feature, feature_names, raw_features)))
-    elif schema.names != tuple(feature_names):
+    if n == 0:
+        raise EmptyTableError("table has no data rows")
+    if width_error is not None:
+        raise width_error
+    if mismatch:
         raise DataFormatError("schema feature names do not match the CSV header")
-
-    columns = []
-    for feature, raw in zip(schema.features, raw_features):
-        if feature.kind == CATEGORICAL:
-            _require_cells(raw, feature.name)
-            columns.append(raw)
-        else:
-            columns.append(_parse_column(raw, feature.name))
-
-    y_true, y_pred = cells[true_at], cells[true_at + 1]
-    _require_cells(y_true, TRUE_COLUMN)
-    _require_cells(y_pred, PRED_COLUMN)
-    if classes is None:
-        labels = sorted(set(y_true) | set(y_pred))
-        if len(labels) < 2:
+    for j in range(width):
+        if j in errors:
+            raise errors[j]
+        if j in labels and "" in labels[j].index:
+            raise DataFormatError(
+                f"missing value in column {header[j]!r}", row=labels[j].first_row("")
+            )
+    y_true, y_pred = labels[true_at], labels[true_at + 1]
+    if classes is None:  # so there are no score columns
+        found = sorted(y_true.index.keys() | y_pred.index.keys())
+        if len(found) < 2:
             raise DataFormatError(f"{TRUE_COLUMN} and {PRED_COLUMN} hold one class only")
-        classes = ClassSet(tuple(labels))
+        classes = ClassSet(tuple(found))
 
+    columns = [labels[j] if j in labels else np.concatenate(numbers.pop(j)) for j in range(true_at)]
+    # Inference rule: a column with any cell float() rejects is categorical;
+    # one whose values all sit in {0, 1} is binary; everything else is
+    # numeric.  "nan" and "inf" count as numbers, so a non-finite cell is
+    # rejected with its row rather than read as a category.
+    if schema is None:
+        schema = FeatureSchema(tuple(
+            Feature(name, CATEGORICAL, tuple(sorted(col.index))) if j in labels
+            else Feature(name, BINARY if ((col == 0.0) | (col == 1.0)).all() else NUMERIC)
+            for j, (name, col) in enumerate(zip(feature_names, columns))
+        ))
     scores = None
-    if score_labels:
-        parsed = map(_parse_column, cells[true_at + 2 :], score_headers)
-        scores = np.array(list(parsed), dtype=np.float64).T
-
+    if width > true_at + 2:
+        scores = np.empty((n, width - true_at - 2))
+        for i, j in enumerate(range(true_at + 2, width)):
+            np.concatenate(numbers.pop(j), out=scores[:, i])
     return PredictionTable(
         schema,
         classes,
@@ -529,32 +570,128 @@ def load_table(
     )
 
 
+def load_table(
+    source,
+    schema: FeatureSchema | None = None,
+    classes: ClassSet | None = None,
+    *,
+    scores_are_probabilities: bool = True,
+) -> PredictionTable:
+    """Load a prediction table from CSV.
+
+    The file is read once, as a text stream, ``_CHUNK_ROWS`` records at a
+    time; each chunk goes straight into typed arrays, so peak memory stays
+    near the size of the finished table.  A column whose kind is inferred
+    and that turns out to hold text only after its first chunk makes the
+    load read the source again, with that column categorical.
+
+    Parameters
+    ----------
+    source:
+        A filesystem path, ``bytes``, or a readable file object.  A file
+        object, or a path that is not a regular file (a pipe), is read whole
+        first, since it cannot be read twice.
+    schema:
+        Optional schema.  When omitted, feature kinds are inferred from the
+        data: all-numeric columns with values inside {0, 1} become binary,
+        columns with non-numeric cells become categorical (categories sorted),
+        the rest numeric.
+    classes:
+        Optional declared class set.  When score columns are present their
+        order defines the class set and ``classes``, if also given, must
+        agree.  With neither, classes are the sorted distinct labels seen in
+        ``__true__`` and ``__pred__``.
+
+    Raises
+    ------
+    DataFormatError
+        On any malformed content; the offending 1-based data row is named
+        where applicable.  A record the ``csv`` module rejects, or invalid
+        UTF-8, comes first, then the header.  After every row's width is
+        checked, cells are checked column by column, left to right, so the
+        error names the first bad cell of the first bad column.  An empty
+        table is an error.
+    UnknownClassError
+        When a label is not in the declared class set.
+    """
+    if isinstance(source, (str, Path)) and os.path.isfile(source):
+        def stream():
+            return open(source, encoding="utf-8", newline="")
+
+        def raw():
+            with open(source, "rb") as fh:
+                return fh.read()
+    else:
+        if isinstance(source, (str, Path)):  # a pipe, say: it cannot be read twice
+            with open(source, "rb") as fh:
+                data = fh.read()
+        elif isinstance(source, (bytes, bytearray)):
+            data = bytes(source)
+        else:
+            data = source.read()
+            if isinstance(data, str):
+                data = data.encode("utf-8")
+
+        def stream():
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+        def raw():
+            return data
+
+    categorical: set[int] = set()
+    while True:
+        try:
+            with stream() as text:
+                read = _read(csv.reader(text), schema, classes, categorical,
+                             scores_are_probabilities)
+        except (csv.Error, UnicodeDecodeError):
+            _raise_record_error(raw())
+            raise
+        if isinstance(read, PredictionTable):
+            return read
+        categorical |= read
+
+
 # -- CSV writing ----------------------------------------------------------
 
 
-def table_to_csv_text(table: PredictionTable) -> str:
-    # Numbers go out as Python floats, which csv writes with repr(): the
-    # shortest text that reads back exactly.
-    columns = [
-        table.column_labels(j) if f.kind == CATEGORICAL else table.column(j).tolist()
-        for j, f in enumerate(table.schema.features)
-    ]
-    columns += [table.y_labels(), table.pred_labels()]
+def _write_rows(table: PredictionTable, handle) -> None:
+    """Write ``table`` as CSV text to ``handle``, ``_CHUNK_ROWS`` rows at a time."""
     header = list(table.schema.names) + [TRUE_COLUMN, PRED_COLUMN]
     if table.scores is not None:
         header += [SCORE_PREFIX + lbl for lbl in table.classes.labels]
-        columns += table.scores.T.tolist()
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*columns))
+
+    def text(names, codes):
+        return list(map(names.__getitem__, codes.tolist()))
+
+    # Numbers go out as Python floats, which csv writes with repr(): the
+    # shortest text that reads back exactly.
+    for start in range(0, table.n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        columns = [
+            text(f.categories, table.column(j)[rows]) if f.kind == CATEGORICAL
+            else table.column(j)[rows].tolist()
+            for j, f in enumerate(table.schema.features)
+        ]
+        columns += [text(table.classes.labels, table.y_codes[rows]),
+                    text(table.classes.labels, table.pred_codes[rows])]
+        if table.scores is not None:
+            columns += table.scores[rows].T.tolist()
+        writer.writerows(zip(*columns))
+
+
+def table_to_csv_text(table: PredictionTable) -> str:
+    buf = io.StringIO()
+    _write_rows(table, buf)
     return buf.getvalue()
 
 
 def write_csv(table: PredictionTable, path) -> None:
-    """Serialize ``table`` to CSV at ``path`` (atomic write)."""
-    atomic_write_text(path, table_to_csv_text(table))
+    """Serialize ``table`` to CSV at ``path`` (atomic write, streamed)."""
+    with atomic_open(path) as handle:
+        _write_rows(table, handle)
 
 
 # -- stratified splitting -------------------------------------------------

@@ -5,10 +5,30 @@ purpose: it shares no code with the package's vectorized paths, so agreement
 between the two sides is evidence, not tautology.  The split-search oracle
 takes the side-value function as a parameter; passing the package's metric
 evaluator makes betas bit-comparable while the search logic stays
-independent.
+independent.  The CSV loader reference parses and checks every cell itself
+and shares only ``PredictionTable``'s own checks with the package.
 """
 
+import csv
+import io
 import math
+from pathlib import Path
+
+import numpy as np
+
+from perfex.dataset import (
+    BINARY,
+    CATEGORICAL,
+    NUMERIC,
+    PRED_COLUMN,
+    SCORE_PREFIX,
+    TRUE_COLUMN,
+    ClassSet,
+    Feature,
+    FeatureSchema,
+    PredictionTable,
+)
+from perfex.errors import DataFormatError, EmptyTableError
 
 
 class NeedsScores(Exception):
@@ -300,3 +320,197 @@ def plain_rows(plain):
         (y, p, scores[i] if scores is not None else None)
         for i, (y, p) in enumerate(zip(plain["y"], plain["pred"]))
     ]
+
+
+# -- CSV loader reference ----------------------------------------------------
+#
+# The whole-text loader the streamed ``load_table`` replaced, kept verbatim:
+# every cell goes through ``_parse_float`` after the whole file is decoded,
+# split into records and transposed.  The streamed loader must return the
+# same table, or raise the same exception with the same message.
+
+
+def _parse_float(cell: str, row: int, column: str) -> float:
+    if cell == "":
+        raise DataFormatError(f"missing value in column {column!r}", row=row)
+    try:
+        v = float(cell)
+    except ValueError:
+        raise DataFormatError(
+            f"cannot parse {cell!r} in column {column!r} as a number", row=row
+        ) from None
+    if not math.isfinite(v):
+        raise DataFormatError(f"non-finite value in column {column!r}", row=row)
+    return v
+
+
+def _parse_column(cells, column: str) -> list[float]:
+    return [_parse_float(cell, i, column) for i, cell in enumerate(cells, 1)]
+
+
+def _require_cells(cells, column: str) -> None:
+    if "" in cells:
+        raise DataFormatError(
+            f"missing value in column {column!r}", row=cells.index("") + 1
+        )
+
+
+def _records(text: str) -> list[list[str]]:
+    """The CSV records of ``text``, header first.  A record the ``csv`` module
+    rejects (a field over its size limit) raises a DataFormatError naming it."""
+    records = []
+    try:
+        for record in csv.reader(io.StringIO(text, newline="")):
+            records.append(record)
+    except csv.Error as exc:
+        if not records:
+            raise DataFormatError(f"header: {exc}") from None
+        raise DataFormatError(str(exc), row=len(records)) from None
+    return records
+
+
+def _infer_feature(name: str, cells) -> Feature:
+    # Inference rule: a column with any cell float() rejects is categorical;
+    # one whose distinct values sit inside {0, 1} is binary; everything else
+    # is numeric.  "nan" and "inf" count as numbers, so a non-finite cell is
+    # rejected by _parse_float rather than read as a category.
+    try:
+        distinct = set(map(float, cells))
+    except ValueError:
+        return Feature(name, CATEGORICAL, tuple(sorted(set(cells))))
+    return Feature(name, BINARY if distinct <= {0.0, 1.0} else NUMERIC)
+
+
+def naive_load_table(
+    source,
+    schema: FeatureSchema | None = None,
+    classes: ClassSet | None = None,
+    *,
+    scores_are_probabilities: bool = True,
+) -> PredictionTable:
+    """Load a prediction table from CSV.
+
+    Parameters
+    ----------
+    source:
+        A filesystem path, ``bytes``, or a readable file object.
+    schema:
+        Optional schema.  When omitted, feature kinds are inferred from the
+        data: all-numeric columns with values inside {0, 1} become binary,
+        columns with non-numeric cells become categorical (categories sorted),
+        the rest numeric.
+    classes:
+        Optional declared class set.  When score columns are present their
+        order defines the class set and ``classes``, if also given, must
+        agree.  With neither, classes are the sorted distinct labels seen in
+        ``__true__`` and ``__pred__``.
+
+    Raises
+    ------
+    DataFormatError
+        On any malformed content; the offending 1-based data row is named
+        where applicable.  A record the ``csv`` module rejects comes first,
+        then the header.  After every row's width is checked, cells are
+        checked column by column, left to right, so the error names the
+        first bad cell of the first bad column.  An empty table is an error.
+    UnknownClassError
+        When a label is not in the declared class set.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            data = fh.read()
+    elif isinstance(source, (bytes, bytearray)):
+        data = bytes(source)
+    else:
+        data = source.read()
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte's row: the last record of the text before it plus a stand-in.
+        row = len(_records(data[: exc.start].decode("utf-8") + "?")) - 1
+        where = "text" if row else "header"
+        raise DataFormatError(f"{where} is not valid UTF-8", row=row or None) from None
+
+    rows = _records(text)
+    if not rows:
+        raise DataFormatError("empty file: no header")
+    header = rows.pop(0)
+
+    if TRUE_COLUMN not in header:
+        raise DataFormatError(f"header has no {TRUE_COLUMN} column")
+    true_at = header.index(TRUE_COLUMN)
+    feature_names = header[:true_at]
+    if not feature_names:
+        raise DataFormatError("no feature columns before the label columns")
+    if len(header) <= true_at + 1 or header[true_at + 1] != PRED_COLUMN:
+        raise DataFormatError(f"{PRED_COLUMN} must immediately follow {TRUE_COLUMN}")
+    score_headers = header[true_at + 2 :]
+    for h in score_headers:
+        if not h.startswith(SCORE_PREFIX):
+            raise DataFormatError(f"unexpected trailing column {h!r}")
+    for names in (feature_names, score_headers):
+        if len(set(names)) < len(names):
+            dup = next(h for i, h in enumerate(names) if h in names[:i])
+            raise DataFormatError(f"duplicate column {dup!r}")
+    if len(score_headers) == 1:
+        raise DataFormatError(f"one score column {score_headers[0]!r}; need one per class")
+    if SCORE_PREFIX in score_headers:
+        raise DataFormatError(f"score column {SCORE_PREFIX!r} names no class")
+    score_labels = [h[len(SCORE_PREFIX) :] for h in score_headers]
+
+    if score_labels:
+        declared = ClassSet(tuple(score_labels))
+        if classes is not None and classes != declared:
+            raise DataFormatError("declared classes do not match score columns")
+        classes = declared
+
+    if not rows:
+        raise EmptyTableError("table has no data rows")
+    width = len(header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataFormatError(
+                f"expected {width} cells, got {len(row)}", row=i + 1
+            )
+    cells = list(zip(*rows))
+    del rows  # the columns hold the same strings; free the row lists early
+
+    raw_features = cells[:true_at]
+    if schema is None:
+        schema = FeatureSchema(tuple(map(_infer_feature, feature_names, raw_features)))
+    elif schema.names != tuple(feature_names):
+        raise DataFormatError("schema feature names do not match the CSV header")
+
+    columns = []
+    for feature, raw in zip(schema.features, raw_features):
+        if feature.kind == CATEGORICAL:
+            _require_cells(raw, feature.name)
+            columns.append(raw)
+        else:
+            columns.append(_parse_column(raw, feature.name))
+
+    y_true, y_pred = cells[true_at], cells[true_at + 1]
+    _require_cells(y_true, TRUE_COLUMN)
+    _require_cells(y_pred, PRED_COLUMN)
+    if classes is None:
+        labels = sorted(set(y_true) | set(y_pred))
+        if len(labels) < 2:
+            raise DataFormatError(f"{TRUE_COLUMN} and {PRED_COLUMN} hold one class only")
+        classes = ClassSet(tuple(labels))
+
+    scores = None
+    if score_labels:
+        parsed = map(_parse_column, cells[true_at + 2 :], score_headers)
+        scores = np.array(list(parsed), dtype=np.float64).T
+
+    return PredictionTable(
+        schema,
+        classes,
+        columns,
+        y_true,
+        y_pred,
+        scores,
+        scores_are_probabilities=scores_are_probabilities,
+    )
