@@ -10,6 +10,7 @@ the split search runs on one thread, so it changes nothing.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -60,7 +61,7 @@ def _split_arg(text: str) -> tuple[float, ...]:
         shares = [float(p) for p in text.split("/")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad split {text!r}, expected e.g. 50/25/25")
-    if len(shares) < 2 or any(s <= 0 for s in shares):
+    if len(shares) < 2 or not all(0 < s < math.inf for s in shares):  # NaN fails too
         raise argparse.ArgumentTypeError(f"bad split {text!r}, expected e.g. 50/25/25")
     total = sum(shares)
     if abs(total - 100.0) > 1e-9 and abs(total - 1.0) > 1e-9:

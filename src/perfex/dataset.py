@@ -295,14 +295,6 @@ class PredictionTable:
         """Raw stored column ``j``: floats, or category codes if categorical."""
         return self._columns[j]
 
-    def column_labels(self, j: int) -> list[str]:
-        """Categorical column ``j`` decoded back to category strings."""
-        feature = self.schema.features[j]
-        if feature.kind != CATEGORICAL:
-            raise ValueError(f"feature {feature.name!r} is not categorical")
-        cats = feature.categories
-        return [cats[c] for c in self._columns[j]]
-
     def y_labels(self) -> list[str]:
         return [self.classes.labels[c] for c in self._y]
 
@@ -386,28 +378,20 @@ class SubsetView:
 _CHUNK_ROWS = 8192
 
 
-def _parse_float(cell: str, row: int, column: str) -> float:
-    if cell == "":
-        raise DataFormatError(f"missing value in column {column!r}", row=row)
-    try:
-        v = float(cell)
-    except ValueError:
-        raise DataFormatError(
-            f"cannot parse {cell!r} in column {column!r} as a number", row=row
-        ) from None
-    if not math.isfinite(v):
-        raise DataFormatError(f"non-finite value in column {column!r}", row=row)
-    return v
-
-
 def _first_bad_cell(cells, first_row: int, column: str) -> DataFormatError:
-    """The error ``_parse_float`` gives for the first bad cell of a chunk
-    that holds one."""
+    """The error for the first cell of a chunk that is empty, not a number or
+    not finite; the chunk holds one."""
     for row, cell in enumerate(cells, first_row):
+        if cell == "":
+            return DataFormatError(f"missing value in column {column!r}", row=row)
         try:
-            _parse_float(cell, row, column)
-        except DataFormatError as exc:
-            return exc
+            value = float(cell)
+        except ValueError:
+            return DataFormatError(
+                f"cannot parse {cell!r} in column {column!r} as a number", row=row
+            )
+        if not math.isfinite(value):
+            return DataFormatError(f"non-finite value in column {column!r}", row=row)
     raise AssertionError("the chunk has no bad cell")
 
 
@@ -615,12 +599,7 @@ def load_table(
         When a label is not in the declared class set.
     """
     if isinstance(source, (str, Path)) and os.path.isfile(source):
-        def stream():
-            return open(source, encoding="utf-8", newline="")
-
-        def raw():
-            with open(source, "rb") as fh:
-                return fh.read()
+        handle = open(source, "rb")
     else:
         if isinstance(source, (str, Path)):  # a pipe, say: it cannot be read twice
             with open(source, "rb") as fh:
@@ -631,25 +610,25 @@ def load_table(
             data = source.read()
             if isinstance(data, str):
                 data = data.encode("utf-8")
-
-        def stream():
-            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-
-        def raw():
-            return data
+        handle = io.BytesIO(data)
 
     categorical: set[int] = set()
-    while True:
-        try:
-            with stream() as text:
+    with handle:
+        while True:
+            handle.seek(0)
+            text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+            try:
                 read = _read(csv.reader(text), schema, classes, categorical,
                              scores_are_probabilities)
-        except (csv.Error, UnicodeDecodeError):
-            _raise_record_error(raw())
-            raise
-        if isinstance(read, PredictionTable):
-            return read
-        categorical |= read
+            except (csv.Error, UnicodeDecodeError):
+                handle.seek(0)
+                _raise_record_error(handle.read())
+                raise
+            finally:
+                text.detach()  # so that dropping the wrapper leaves ``handle`` open
+            if isinstance(read, PredictionTable):
+                return read
+            categorical |= read
 
 
 # -- CSV writing ----------------------------------------------------------
@@ -707,7 +686,7 @@ def stratified_split_indices(y_codes, k: int, fractions, seed) -> list[np.ndarra
     fracs = [float(f) for f in fractions]
     if len(fracs) < 2:
         raise ValueError("need at least two fractions")
-    if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
+    if not (all(f >= 0 for f in fracs) and abs(sum(fracs) - 1.0) <= 1e-9):  # NaN fails too
         raise ValueError("fractions must be non-negative and sum to 1")
     y = np.asarray(y_codes)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -114,6 +114,14 @@ class SearchConfig:
             raise ValueError("max_thresholds must be at least 1 (or None)")
 
 
+def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
+    """The first value of each run of equal values in sorted ``ordered``:
+    its distinct values, a run of ``-0.0``/``0.0`` giving its first cell."""
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
 def _thresholds(ordered: np.ndarray, cap: int | None) -> np.ndarray:
     """Thresholds to try for one sorted numeric column: its distinct values,
     or a deduplicated set of nearest-rank quantiles when there are more than
@@ -124,16 +132,14 @@ def _thresholds(ordered: np.ndarray, cap: int | None) -> np.ndarray:
     the one at index ``ceil(p*n) - 1``.  A ``cap`` of None keeps up to
     AUTO_UNIQUE_LIMIT distinct values and takes AUTO_CAP quantiles beyond.
     """
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    uniq = ordered[first]
+    uniq = _first_of_runs(ordered)
     if cap is None:
         cap = None if uniq.size <= AUTO_UNIQUE_LIMIT else AUTO_CAP
     if cap is None or uniq.size <= cap:
         return uniq
     n = ordered.size
     at = np.ceil(np.arange(1, cap + 1) / (cap + 1) * n).astype(np.int64) - 1
-    return np.unique(ordered[np.clip(at, 0, n - 1)])
+    return _first_of_runs(ordered[np.clip(at, 0, n - 1)])  # sorted: ``at`` ascends
 
 
 def _conditions(ordered: np.ndarray, feature: Feature, cap: int | None):

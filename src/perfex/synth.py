@@ -4,6 +4,10 @@ Generation is reproducible byte-for-byte: every generator uses PCG64 streams
 spawned from the caller's seed, one stream per class, so adding a class or
 changing its count never perturbs the draws of another class.
 
+Labels are int32 codes into the dataset's class set, as in a
+:class:`~perfex.dataset.PredictionTable`; they become text only where
+:func:`predict_table` hands them to one.
+
 The built-in classifiers are deliberately simple (an analytic density rule,
 a single axis threshold, a small Gini-grown decision tree).  They exist so
 a full table with predictions and scores can be produced from nothing; any
@@ -39,6 +43,9 @@ class GaussianSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
+        bad = [v for v in (*self.mean, self.sigma) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"blob mean and sigma must be finite, got {bad[0]}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.count < 1:
@@ -47,10 +54,13 @@ class GaussianSpec:
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Plain features-plus-labels data, before any classifier has run."""
+    """Plain features-plus-labels data, before any classifier has run.
+
+    ``y`` holds each row's true label as an int32 code into ``classes``.
+    """
 
     features: np.ndarray  # (n, m) float64
-    labels: tuple[str, ...]
+    y: np.ndarray  # (n,) int32
     feature_names: tuple[str, ...]
     classes: ClassSet
 
@@ -58,15 +68,18 @@ class LabeledDataset:
         x = np.asarray(self.features, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("features must be a 2-D array")
-        if x.shape[0] != len(self.labels):
-            raise ValueError("features and labels lengths differ")
+        y = np.asarray(self.y)
+        if y.shape != (x.shape[0],) or y.dtype.kind not in "iu":
+            raise ValueError("y must hold one integer label code per row")
+        if y.size and (y.min() < 0 or y.max() >= self.classes.k):
+            raise ValueError("label code outside the class set")
         if x.shape[1] != len(self.feature_names):
             raise ValueError("feature_names length does not match columns")
-        if x.flags.writeable:
-            x = x.copy()
-            x.flags.writeable = False
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        for name, arr in (("features", x), ("y", y.astype(np.int32, copy=False))):
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -76,21 +89,12 @@ class LabeledDataset:
     def m(self) -> int:
         return self.features.shape[1]
 
-    def label_codes(self) -> np.ndarray:
-        lookup = {lbl: i for i, lbl in enumerate(self.classes.labels)}
-        return np.array([lookup[v] for v in self.labels], dtype=np.int32)
-
     def schema(self) -> FeatureSchema:
         return FeatureSchema(tuple(Feature(name, NUMERIC) for name in self.feature_names))
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            self.features[idx],
-            tuple(self.labels[i] for i in idx),
-            self.feature_names,
-            self.classes,
-        )
+        return LabeledDataset(self.features[idx], self.y[idx], self.feature_names, self.classes)
 
 
 def generate_blobs(specs, seed, feature_names=None) -> LabeledDataset:
@@ -112,14 +116,11 @@ def generate_blobs(specs, seed, feature_names=None) -> LabeledDataset:
         feature_names = tuple(f"x{j}" for j in range(dim)) if dim != 2 else ("x", "y")
     streams = np.random.SeedSequence(seed).spawn(len(specs))
     blocks = []
-    row_labels: list[str] = []
     for spec, stream in zip(specs, streams):
         rng = np.random.Generator(np.random.PCG64(stream))
         blocks.append(rng.normal(loc=spec.mean, scale=spec.sigma, size=(spec.count, dim)))
-        row_labels.extend([spec.label] * spec.count)
-    return LabeledDataset(
-        np.vstack(blocks), tuple(row_labels), tuple(feature_names), ClassSet(tuple(labels))
-    )
+    y = np.repeat(np.arange(len(specs), dtype=np.int32), [s.count for s in specs])
+    return LabeledDataset(np.vstack(blocks), y, tuple(feature_names), ClassSet(tuple(labels)))
 
 
 def generate_two_gaussian(
@@ -145,19 +146,13 @@ def flip_labels(
     rng = np.random.Generator(np.random.PCG64(seed))
     eligible = dataset.features[:, feature] > threshold
     flip = eligible & (rng.random(dataset.n) < prob)
-    a, b = dataset.classes.labels
-    swapped = {a: b, b: a}
-    labels = tuple(
-        swapped[lbl] if flip[i] else lbl for i, lbl in enumerate(dataset.labels)
-    )
-    return LabeledDataset(dataset.features, labels, dataset.feature_names, dataset.classes)
+    y = np.where(flip, 1 - dataset.y, dataset.y)
+    return LabeledDataset(dataset.features, y, dataset.feature_names, dataset.classes)
 
 
 def split_dataset(dataset: LabeledDataset, fractions, seed) -> list[LabeledDataset]:
     """Stratified partition of a labeled dataset (for example 0.5/0.25/0.25)."""
-    parts = stratified_split_indices(
-        dataset.label_codes(), dataset.classes.k, fractions, seed
-    )
+    parts = stratified_split_indices(dataset.y, dataset.classes.k, fractions, seed)
     return [dataset.subset(idx) for idx in parts]
 
 
@@ -235,7 +230,7 @@ class CartClassifier:
         self.class_labels = dataset.classes.labels
         k = dataset.classes.k
         X = dataset.features
-        y = dataset.label_codes()
+        y = dataset.y
 
         def gini(counts: np.ndarray) -> np.ndarray:
             """Gini impurity of each row of class counts (no empty rows)."""
@@ -311,14 +306,14 @@ def predict_table(classifier, dataset: LabeledDataset) -> PredictionTable:
     raw = classifier.score_matrix(dataset.features)
     order = [classifier.class_labels.index(lbl) for lbl in dataset.classes.labels]
     scores = raw[:, order]
-    pred_codes = scores.argmax(axis=1)
-    pred = [dataset.classes.labels[c] for c in pred_codes]
+    decode = dataset.classes.labels.__getitem__
+    pred = list(map(decode, scores.argmax(axis=1).tolist()))
     columns = [dataset.features[:, j] for j in range(dataset.m)]
     return PredictionTable(
         dataset.schema(),
         dataset.classes,
         columns,
-        list(dataset.labels),
+        list(map(decode, dataset.y.tolist())),
         pred,
         scores,
     )

@@ -305,8 +305,24 @@ def test_exit_code_two_on_argument_errors(tmp_path):
                     "--metric", "bogus"], tmp_path).returncode == 2
     assert run_cli(["generate", "--preset", "blobs", "--out", "b.csv",
                     "--split", "10/10"], tmp_path).returncode == 2
+    for command in (["generate", "--preset", "blobs", "--out", "b.csv", "--split", "nan/50"],
+                    ["fit", "--data", "x.csv", "--out", "t.json", "--split", "50/nan"]):
+        p = run_cli(command, tmp_path)
+        assert p.returncode == 2
+        assert f"bad split {command[-1]!r}" in p.stderr.decode()
     assert run_cli(["generate", "--preset", "nope", "--out", "b.csv"],
                    tmp_path).returncode == 2
+
+
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_generate_rejects_a_non_finite_delta(tmp_path, delta):
+    p = run_cli(["generate", "--preset", "two-gaussian", "--n", "50", "--delta", delta,
+                 "--out", "g.csv"], tmp_path)
+    assert p.returncode == 1
+    assert p.stderr.decode() == (
+        f"perfex generate: blob mean and sigma must be finite, got {delta}\n"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("setting, message", [

@@ -387,6 +387,9 @@ def test_stratified_split_tables():
         stratified_split(t, (0.9, 0.2), seed=1)
     with pytest.raises(ValueError):
         stratified_split(t, (1.0,), seed=1)
+    for bad in ((float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.5)):
+        with pytest.raises(ValueError, match="fractions must be non-negative and sum to 1"):
+            stratified_split(t, bad, seed=1)
 
 
 def test_subset_keeps_scores_and_flags():

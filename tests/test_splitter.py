@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfex import (
     MetricSpec,
@@ -53,6 +55,45 @@ def test_candidate_thresholds_automatic_rule():
     capped = _thresholds(np.sort(uniq300), None)
     assert capped.size <= 255
     assert list(capped) == naive_thresholds(list(uniq300))
+
+
+def unique_thresholds(ordered, cap):
+    """The threshold rule deduplicated with ``np.unique``, the reference for
+    values.  On numpy 2.4 ``np.unique`` goes through a hash table, so which
+    of ``-0.0``/``0.0`` it keeps for a run of both is not the first cell:
+    ``np.unique([-0.0] * 8 + [0.0])`` gives ``[0.0]``."""
+    uniq = np.unique(ordered)
+    if cap is None:
+        cap = None if uniq.size <= 256 else 255
+    if cap is None or uniq.size <= cap:
+        return uniq
+    at = np.ceil(np.arange(1, cap + 1) / (cap + 1) * ordered.size).astype(np.int64) - 1
+    return np.unique(ordered[at])
+
+
+@st.composite
+def tied_columns(draw):
+    """Integer-valued columns with many ties, up to 801 distinct values, and
+    zeros of both signs, sometimes most of the column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, spread = draw(st.integers(1, 1500)), draw(st.integers(0, 400))
+    col = rng.integers(-spread, spread + 1, n).astype(np.float64)
+    col[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    col[col == 0.0] = rng.choice([-0.0, 0.0], int((col == 0.0).sum()))
+    return col
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_columns(), st.sampled_from([None, 1, 5, 255]))
+def test_candidate_thresholds_keep_the_first_of_each_run(col, cap):
+    # A stable sort keeps row order within a run, so each threshold is the
+    # first cell in row order of its run, as in the naive rule (a Python set
+    # keeps the first of equal values).
+    got = _thresholds(np.sort(col, kind="stable"), cap)
+    assert np.array_equal(got, unique_thresholds(np.sort(col, kind="stable"), cap))
+    expected = np.array(naive_thresholds(col.tolist(), cap))
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def candidate_list(view):

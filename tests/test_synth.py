@@ -43,7 +43,7 @@ def test_two_gaussian_sample_statistics():
     assert abs(lo.mean() - 10.0) < 4 * se
     assert abs(hi.mean() - 13.0) < 4 * se
     assert abs(lo.std() - 2.0) < 0.15
-    assert ds.labels[:3] == ("0", "0", "0") and ds.labels[-1] == "1"
+    assert ds.y[:3].tolist() == [0, 0, 0] and ds.y[-1] == 1
     assert ds.feature_names == ("z",)
 
 
@@ -152,9 +152,7 @@ def test_cart_matches_the_per_threshold_reference():
     splits = 0
     for X, y in tables:
         m = X.shape[1]
-        ds = LabeledDataset(
-            X, tuple(labels[c] for c in y), tuple(f"x{j}" for j in range(m)), ClassSet(labels)
-        )
+        ds = LabeledDataset(X, y, tuple(f"x{j}" for j in range(m)), ClassSet(labels))
         depth = int(rng.integers(1, 5))
         got = bits(CartClassifier(max_depth=depth).fit(ds)._root)
         assert got == bits(naive_cart(X.T.tolist(), y.tolist(), 3, depth))
@@ -178,11 +176,11 @@ def test_flip_labels_only_touches_rows_above_threshold():
     above = ds.features[:, 1] > 0.5
     for i in range(ds.n):
         if above[i]:
-            assert flipped.labels[i] != ds.labels[i]
+            assert flipped.y[i] != ds.y[i]
         else:
-            assert flipped.labels[i] == ds.labels[i]
+            assert flipped.y[i] == ds.y[i]
     same = flip_labels(ds, feature=1, threshold=0.5, prob=0.0, seed=1)
-    assert same.labels == ds.labels
+    assert np.array_equal(same.y, ds.y)
     with pytest.raises(ValueError):
         flip_labels(generate_blobs(blob_specs(30), seed=0), 0, 0.0, 0.5, 1)
 
@@ -206,7 +204,7 @@ def test_split_dataset_is_stratified():
     ds = generate_blobs(blob_specs(300), seed=8)  # 100 rows per class
     train, t1, t2 = split_dataset(ds, (0.5, 0.25, 0.25), seed=8)
     assert (train.n, t1.n, t2.n) == (150, 75, 75)
-    assert {c: train.labels.count(c) for c in ("0", "1", "2")} == {"0": 50, "1": 50, "2": 50}
+    assert np.bincount(train.y, minlength=3).tolist() == [50, 50, 50]
     # The three parts partition the original rows.
     rows = sorted(map(tuple, np.vstack([train.features, t1.features, t2.features])))
     assert rows == sorted(map(tuple, ds.features))
@@ -228,9 +226,26 @@ def test_predict_table_reorders_scores_to_dataset_classes():
     assert t.pred_labels() == straight.pred_labels()
 
 
+def test_labeled_dataset_checks_its_codes():
+    X, classes = np.zeros((3, 1)), ClassSet(("a", "b"))
+    ds = LabeledDataset(X, np.array([0, 1, 1]), ("x",), classes)
+    assert ds.y.dtype == np.int32 and not ds.y.flags.writeable
+    with pytest.raises(ValueError, match="one integer label code per row"):
+        LabeledDataset(X, np.array([0, 1]), ("x",), classes)
+    with pytest.raises(ValueError, match="one integer label code per row"):
+        LabeledDataset(X, np.array([0.0, 1.0, 1.0]), ("x",), classes)
+    for y in ([0, 2, 1], [0, -1, 1]):
+        with pytest.raises(ValueError, match="label code outside the class set"):
+            LabeledDataset(X, np.array(y), ("x",), classes)
+
+
 def test_gaussian_spec_validation():
     with pytest.raises(ValueError):
         GaussianSpec("a", (0.0,), -1.0, 10)
+    for mean, sigma, bad in [((math.nan,), 1.0, "nan"), ((0.0, math.inf), 1.0, "inf"),
+                             ((0.0,), math.nan, "nan"), ((0.0,), -math.inf, "-inf")]:
+        with pytest.raises(ValueError, match=f"^blob mean and sigma must be finite, got {bad}$"):
+            GaussianSpec("a", mean, sigma, 10)
     with pytest.raises(ValueError):
         GaussianSpec("a", (0.0,), 1.0, 0)
     with pytest.raises(ValueError):
