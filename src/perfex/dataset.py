@@ -29,7 +29,7 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +168,11 @@ class PredictionTable:
     for categorical ones.  Labels are stored as int32 codes into the class
     set.  All arrays are marked read-only, so tables can be shared freely
     between threads.
+
+    Float columns and the score matrix are copied from what the caller
+    passes, unless ``copy`` is false: then float64 arrays are kept as they
+    are and marked read-only, for a caller that hands over arrays it has just
+    made and will not write to again.
     """
 
     def __init__(
@@ -180,6 +185,7 @@ class PredictionTable:
         scores=None,
         *,
         scores_are_probabilities: bool = True,
+        copy: bool = True,
     ):
         self.schema = schema
         self.classes = classes
@@ -191,6 +197,7 @@ class PredictionTable:
         if len(y_pred) != n:
             raise DataFormatError("__true__ and __pred__ lengths differ")
 
+        as_floats = np.array if copy else np.asarray
         encoded = []
         for j, feature in enumerate(schema.features):
             col = columns[j]
@@ -204,7 +211,7 @@ class PredictionTable:
                     lambda v: f"value {v!r} is not a category of {feature.name!r}",
                 )
             else:
-                arr = np.asarray(col, dtype=np.float64).copy()
+                arr = as_floats(col, dtype=np.float64)
                 if arr.ndim != 1:
                     raise DataFormatError(f"feature {feature.name!r} is not 1-D")
                 bad = ~np.isfinite(arr)
@@ -234,7 +241,7 @@ class PredictionTable:
         self.scores_are_probabilities = bool(scores_are_probabilities)
         sc = None
         if scores is not None:
-            sc = np.asarray(scores, dtype=np.float64).copy()
+            sc = as_floats(scores, dtype=np.float64)
             if sc.shape != (n, classes.k):
                 raise DataFormatError(
                     f"score matrix must have shape ({n}, {classes.k}), got {sc.shape}"
@@ -344,11 +351,14 @@ class SubsetView:
     """A strictly increasing selection of rows from one table.
 
     Views are cheap (one index array) and immutable; splitting a view yields
-    two views over the same underlying table.
+    two views over the same underlying table.  ``presorted`` is the split
+    search's state for these rows, set on the nodes of a growing tree (see
+    :func:`perfex.splitter.presort`).
     """
 
     table: PredictionTable
     indices: np.ndarray
+    presorted: object = field(default=None, repr=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -551,6 +561,7 @@ def _read(records, schema, classes, categorical: set[int], scores_are_probabilit
         y_pred,
         scores,
         scores_are_probabilities=scores_are_probabilities,
+        copy=False,
     )
 
 

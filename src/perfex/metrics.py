@@ -19,6 +19,7 @@ value does not depend on row order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -221,7 +222,8 @@ class MetricStats:
             return np.empty((idx.size, 0), none.dtype), np.zeros(idx.size, none.dtype), mins
         if kind == ECE:
             bins = self.spec.bins
-            conf = table.scores[idx].max(axis=1)
+            # Column by column: max(axis=1) is ten times slower on a few classes.
+            conf = functools.reduce(np.maximum, table.scores[idx].T)
             # Equal-width bins on [0, 1], each (lo, hi] but the first [0, hi]:
             # a row's bin is the number of inner edges below its confidence.
             edges = np.array([i / bins for i in range(1, bins)])
@@ -317,7 +319,7 @@ def evaluate_indices(spec: MetricSpec, table: PredictionTable, indices: np.ndarr
     _, bins, weights = stats = metric.stats(indices)
     counts, _ = metric.sums(stats, np.zeros(indices.size, dtype=np.intp), 1)
     # math.fsum rounds the exact sum of each amount column once.
-    amounts = [math.fsum(weights[bins == a].tolist()) for a in range(metric.n_amounts)]
+    amounts = [math.fsum(weights[bins == a]) for a in range(metric.n_amounts)]
     n = np.array([indices.size], dtype=np.int64)
     values, supports = metric.value(counts, np.array([amounts], dtype=np.float64), n)
     value = float(values[0])

@@ -12,8 +12,11 @@ replaces the incumbent only on a strict beta improvement, so the first
 maximal candidate in enumeration order always wins.  Beta improvements
 smaller than ``BETA_TIE_TOLERANCE`` count as ties.
 
-The search is a sweep (CART / SLIQ split finding): the metric's per-row
-statistics are taken once per node and each feature's column is sorted once.
+The search is a sweep over presorted columns (SLIQ / SPRINT split
+finding): a tree build takes the metric's per-row statistic codes once for
+the whole table and sorts each feature's column once, stably, at the root;
+at each split, every sorted order is stable-partitioned between the two
+children, so a node's rows come already sorted by every feature.
 ``x <= v`` sends a prefix of the sorted rows left and ``x == c`` one run of
 them, so the bounds of all conditions cut the sorted rows into segments (at
 most 257 at the default threshold cap).  One grouped sum per feature gives
@@ -29,7 +32,8 @@ side values and beta are always evaluated exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,6 +167,60 @@ def _conditions(ordered: np.ndarray, feature: Feature, cap: int | None):
     return thresholds.tolist(), np.zeros_like(ends), ends
 
 
+class Presorted(NamedTuple):
+    """The split search's state for the rows of a node.
+
+    ``stat`` is the metric resolved against the table and ``codes`` the
+    statistic codes (:meth:`MetricStats.stats`) of every table row, taken
+    once per build.  ``orders[j]`` holds the node's row ids sorted stably by
+    column ``j``, so equal values keep row order.
+    """
+
+    stat: MetricStats
+    codes: tuple
+    orders: list
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """The stable sorting order of ``values``.  An unstable sort is several
+    times faster, and it is the stable order when no two values are equal."""
+    order = np.argsort(values)
+    if _first_of_runs(np.take(values, order)).size < values.size:
+        return np.argsort(values, kind="stable")
+    return order
+
+
+def presort(view: SubsetView, metric: MetricSpec) -> SubsetView:
+    """``view`` with its :class:`Presorted` state: one stable sort per column."""
+    table = view.table
+    stat = MetricStats(metric, table)
+    ids = np.int32 if table.n <= np.iinfo(np.int32).max else np.int64
+    orders = [view.indices[_stable_order(view.column(j))].astype(ids) for j in range(table.m)]
+    return replace(view, presorted=Presorted(stat, stat.stats(np.arange(table.n)), orders))
+
+
+def partition(view: SubsetView, found: "SplitResult") -> tuple[SubsetView, SubsetView]:
+    """The two sides of ``found``, a split of presorted ``view``, presorted in
+    turn: each order is stable-partitioned by the winner's left mask.
+
+    The view's orders are handed over one at a time, so its list ends empty
+    and the node keeps no orders once its children have theirs.
+    """
+    pre = view.presorted
+    goes_left = np.zeros(view.table.n, dtype=bool)
+    goes_left[found.left.indices] = True
+    left, right = [], []
+    while pre.orders:
+        order = pre.orders.pop(0)
+        mask = goes_left[order]
+        left.append(order[mask])
+        right.append(order[~mask])
+    return (
+        replace(found.left, presorted=pre._replace(orders=left)),
+        replace(found.right, presorted=pre._replace(orders=right)),
+    )
+
+
 def best_split(
     view: SubsetView,
     metric: MetricSpec,
@@ -171,7 +229,8 @@ def best_split(
     """Find the feasible condition with the largest metric gap.
 
     Returns None when no candidate is feasible or every feasible candidate
-    has a zero gap.
+    has a zero gap.  A view without :class:`Presorted` state for ``metric``
+    is presorted first.
     """
     config = config or SearchConfig()
     table = view.table
@@ -181,8 +240,11 @@ def best_split(
         raise ValueError("cannot split an empty view")
 
     features = table.schema.features
-    stat = MetricStats(metric, table)
-    stats = stat.stats(vidx)
+    pre = view.presorted
+    if pre is None or pre.stat.spec != metric:
+        pre = presort(view, metric).presorted
+    stat, codes = pre.stat, pre.codes
+    stats = [a if a is None else np.take(a, vidx, axis=0) for a in codes]
     count_total, amount_total = stat.sums(stats, np.zeros(n, dtype=np.intp), 1)
 
     def exact(j: int, value):
@@ -197,9 +259,10 @@ def best_split(
     best = None  # (feature, value)
     best_exact = None  # exact(*best), once computed
     for j, feature in enumerate(features):
-        col = view.column(j)
-        order = np.argsort(col, kind="stable")
-        values, starts, ends = _conditions(col[order], feature, config.max_thresholds)
+        order = pre.orders[j]
+        values, starts, ends = _conditions(
+            np.take(table.column(j), order), feature, config.max_thresholds
+        )
         n_left = ends - starts
         keep = np.flatnonzero((n_left >= config.alpha) & (n - n_left >= config.alpha))
         if keep.size == 0:
@@ -209,7 +272,7 @@ def best_split(
         # Group g > 0 holds sorted rows bounds[g-1]:bounds[g]; group 0 is empty.
         bounds, at = np.unique(np.concatenate([starts, ends, [0, n]]), return_inverse=True)
         group = np.repeat(np.arange(1, bounds.size), np.diff(bounds))
-        ordered = [a if a is None else np.take(a, order, axis=0) for a in stats]
+        ordered = [a if a is None else np.take(a, order, axis=0) for a in codes]
         c_cum, a_cum = (np.cumsum(x, axis=0) for x in stat.sums(ordered, group, bounds.size))
         c_left = c_cum[at[r : 2 * r]] - c_cum[at[:r]]
         a_left = a_cum[at[r : 2 * r]] - a_cum[at[:r]]
@@ -235,6 +298,12 @@ def best_split(
         sum_error = 6.0 * m * _U / (1.0 - m * _U) * float(amount_total.sum())
         errors = sum_error * (1.0 / n_left + 1.0 / (n - n_left)) + _SCREEN_ROUNDING
         rows = np.flatnonzero(feasible)
+        # A candidate can win only if its beta may exceed the incumbent's and
+        # every earlier candidate's here (an earlier one at least as large
+        # would have won first), so the rest are skipped.  Twice the error
+        # bounds also cover the rounding of these sums.
+        floor = np.concatenate([[best_beta - 2 * best_error], (betas - 2 * errors)[rows][:-1]])
+        rows = rows[(betas + 2 * errors)[rows] > np.maximum.accumulate(floor)]
         for i, beta, error in zip(rows.tolist(), betas[rows].tolist(), errors[rows].tolist()):
             gap = abs(beta - best_beta)
             found = None

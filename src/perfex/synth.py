@@ -175,6 +175,10 @@ class GaussianDensityClassifier:
         if self._means.ndim == 1:
             self._means = self._means[:, None]
         self._sigmas = np.array([sigma for _, _, sigma in comps], dtype=np.float64)
+        values = np.concatenate([self._means.ravel(), self._sigmas])
+        if not np.isfinite(values).all():
+            bad = values[~np.isfinite(values)][0]
+            raise ValueError(f"component mean and sigma must be finite, got {bad}")
         if (self._sigmas <= 0).any():
             raise ValueError("sigma must be positive")
 

@@ -30,7 +30,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .metrics import MetricSpec, MetricValue, evaluate, parse_metric
-from .splitter import SearchConfig, SplitCandidate, best_split
+from .splitter import SearchConfig, SplitCandidate, best_split, partition, presort
 
 FORMAT_VERSION = 1
 TOO_DEEP = "tree is nested too deeply"
@@ -223,12 +223,15 @@ def build_tree(
         if depth < stopping.max_depth:
             found = best_split(view, metric, config)
             if found is not None and found.beta >= stopping.min_beta:
-                left = grow(found.left, found.e_left, depth + 1)
-                right = grow(found.right, found.e_right, depth + 1)
+                left, right = found.left, found.right
+                if depth + 1 < stopping.max_depth:  # the children are searched
+                    left, right = partition(view, found)
+                left = grow(left, found.e_left, depth + 1)
+                right = grow(right, found.e_right, depth + 1)
                 return Internal(found.candidate, left, right)
         return Leaf(next(ids), len(view), value, view.indices)
 
-    root = grow(root_view, root_value, 0)
+    root = grow(presort(root_view, metric), root_value, 0)
     return MetaTree(
         root=root,
         metric=metric,

@@ -6,11 +6,15 @@ between the two sides is evidence, not tautology.  The split-search oracle
 takes the side-value function as a parameter; passing the package's metric
 evaluator makes betas bit-comparable while the search logic stays
 independent.  The CSV loader reference parses and checks every cell itself
-and shares only ``PredictionTable``'s own checks with the package.
+and shares only ``PredictionTable``'s own checks with the package.  The
+growth reference is the exception: it calls the package's split search, but
+on a fresh view at every node, so that no node inherits its parent's sorted
+orders.
 """
 
 import csv
 import io
+import itertools
 import math
 from pathlib import Path
 
@@ -27,8 +31,12 @@ from perfex.dataset import (
     Feature,
     FeatureSchema,
     PredictionTable,
+    SubsetView,
 )
 from perfex.errors import DataFormatError, EmptyTableError
+from perfex.metrics import evaluate_indices
+from perfex.splitter import SearchConfig, best_split
+from perfex.tree import Internal, Leaf, MetaTree, schema_fingerprint
 
 
 class NeedsScores(Exception):
@@ -207,6 +215,31 @@ def naive_best_split(plain, alpha, min_support, value_fn, cap=None, tie_tol=1e-1
                 best = (j, ckind, v, beta)
                 best_beta = beta
     return best
+
+
+# -- growth reference ---------------------------------------------------------
+
+
+def naive_grow(table, metric, stopping, alpha, max_thresholds=None):
+    """The tree ``build_tree`` should grow, grown by searching each node on a
+    fresh ``SubsetView`` of its rows, so every node sorts its columns from
+    scratch instead of partitioning its parent's orders."""
+    config = SearchConfig(alpha, stopping.min_support, max_thresholds)
+    ids = itertools.count()
+
+    def grow(indices, value, depth):
+        if depth < stopping.max_depth:
+            found = best_split(SubsetView(table, indices), metric, config)
+            if found is not None and found.beta >= stopping.min_beta:
+                left = grow(found.left.indices, found.e_left, depth + 1)
+                right = grow(found.right.indices, found.e_right, depth + 1)
+                return Internal(found.candidate, left, right)
+        return Leaf(next(ids), indices.size, value, indices)
+
+    rows = np.arange(table.n, dtype=np.int64)
+    root = grow(rows, evaluate_indices(metric, table, rows), 0)
+    fingerprint = schema_fingerprint(table.schema, table.classes)
+    return MetaTree(root, metric, stopping, alpha, fingerprint, table.n)
 
 
 # -- CART reference -----------------------------------------------------------

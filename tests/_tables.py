@@ -1,6 +1,16 @@
 """Hand-built tables and converters shared across the test modules."""
 
-from perfex import ClassSet, Feature, FeatureSchema, MetricSpec, PredictionTable
+from perfex import (
+    ClassSet,
+    Feature,
+    FeatureSchema,
+    GaussianDensityClassifier,
+    GaussianSpec,
+    MetricSpec,
+    PredictionTable,
+    generate_blobs,
+    predict_table,
+)
 
 
 def make_table(kinds, columns, y, pred, scores=None, classes=None, categories=None):
@@ -80,3 +90,19 @@ def desc_to_spec(desc):
     if kind == "mean_min_score":
         return MetricSpec.mean_min_score(desc[1])
     raise AssertionError(desc)
+
+
+def baseline_table(n, m=8, seed=7):
+    """The benchmark recipe's table: three blobs ``0``, ``1``, ``2`` of about
+    n/3 rows each, sigma 1, blob ``c`` centred at 2 on feature ``c`` of ``m``;
+    predictions and scores from a density classifier with the means scaled
+    by 0.8 and sigma 1.2."""
+    specs = []
+    for c in range(3):
+        mean = [0.0] * m
+        mean[c] = 2.0
+        specs.append(GaussianSpec(str(c), tuple(mean), 1.0, n // 3 + (c < n % 3)))
+    classifier = GaussianDensityClassifier(
+        [(s.label, tuple(0.8 * v for v in s.mean), 1.2) for s in specs]
+    )
+    return predict_table(classifier, generate_blobs(specs, seed))

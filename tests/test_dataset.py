@@ -191,6 +191,24 @@ def test_constructor_rejects_bad_feature_values():
         )
 
 
+def test_constructor_copies_the_callers_arrays():
+    col = np.array([1.0, 2.0, 3.0])
+    scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+    t = make_table("n", [col], ["a", "b", "a"], ["a", "b", "b"], scores=scores)
+    col[:] = 7.0
+    scores[:] = 0.5
+    assert t.column(0).tolist() == [1.0, 2.0, 3.0]
+    assert t.scores.tolist() == [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
+    assert col.flags.writeable and scores.flags.writeable
+    assert not t.column(0).flags.writeable and not t.scores.flags.writeable
+
+
+def test_loaded_arrays_are_stored_read_only():
+    t = load_table(CSV_SCORED)
+    for arr in (t.column(0), t.scores, t.y_codes, t.pred_codes, t.correct):
+        assert not arr.flags.writeable
+
+
 def test_roundtrip_preserves_everything(tmp_path):
     t = make_table(
         "nc",

@@ -217,6 +217,17 @@ def test_predict_table_validates_class_sets():
         predict_table(clf, ds)
 
 
+@pytest.mark.parametrize("mean, sigma, bad", [
+    (10.0, math.nan, "nan"), (math.inf, 1.0, "inf"), (-math.inf, 1.0, "-inf"),
+    (math.nan, 1.0, "nan"),
+])
+def test_density_classifier_rejects_non_finite_components(mean, sigma, bad):
+    with pytest.raises(ValueError, match=f"^component mean and sigma must be finite, got {bad}$"):
+        GaussianDensityClassifier((("0", (mean,), sigma), ("1", (12.0,), 2.0)))
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        GaussianDensityClassifier((("0", (10.0,), 0.0), ("1", (12.0,), 2.0)))
+
+
 def test_predict_table_reorders_scores_to_dataset_classes():
     ds = generate_two_gaussian(4.0, 50, seed=1)  # classes ("0", "1")
     reversed_clf = GaussianDensityClassifier((("1", (14.0,), 2.0), ("0", (10.0,), 2.0)))
