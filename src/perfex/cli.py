@@ -2,16 +2,13 @@
 
 Exit codes: 0 on success, 1 on module errors (bad data, bad tree file,
 I/O problems; diagnostic on stderr), 2 on argument errors.  All output
-files are written atomically.  The ``PERFEX_THREADS`` environment variable
-must be a positive integer if set (otherwise ``fit`` exits with code 2);
-the split search runs on one thread, so it changes nothing.
+files are written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 from statistics import NormalDist
@@ -67,17 +64,6 @@ def _split_arg(text: str) -> tuple[float, ...]:
     if abs(total - 100.0) > 1e-9 and abs(total - 1.0) > 1e-9:
         raise argparse.ArgumentTypeError("split parts must sum to 100 (or 1.0)")
     return tuple(s / total for s in shares)
-
-
-def _check_threads() -> None:
-    raw = os.environ.get("PERFEX_THREADS", "")
-    try:
-        if not raw or int(raw) >= 1:
-            return
-    except ValueError:
-        pass
-    print(f"perfex: PERFEX_THREADS must be a positive integer, got {raw!r}", file=sys.stderr)
-    raise SystemExit(2)
 
 
 def _part_paths(out: Path, n_parts: int) -> list[Path]:
@@ -146,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args) -> int:
-    _check_threads()
     stopping = StoppingRule(
         max_depth=args.max_depth,
         min_beta=args.min_beta,

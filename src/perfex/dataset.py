@@ -326,25 +326,6 @@ class PredictionTable:
         )
         return out
 
-    def equals(self, other: "PredictionTable") -> bool:
-        """Field-by-field equality, exact on every array."""
-        if self.schema != other.schema or self.classes != other.classes:
-            return False
-        if self.n != other.n:
-            return False
-        if self.scores_are_probabilities != other.scores_are_probabilities:
-            return False
-        for a, b in zip(self._columns, other._columns):
-            if not np.array_equal(a, b):
-                return False
-        if not (np.array_equal(self._y, other._y) and np.array_equal(self._pred, other._pred)):
-            return False
-        if (self._scores is None) != (other._scores is None):
-            return False
-        if self._scores is not None and not np.array_equal(self._scores, other._scores):
-            return False
-        return True
-
 
 @dataclass(frozen=True, eq=False)
 class SubsetView:
@@ -670,12 +651,6 @@ def _write_rows(table: PredictionTable, handle) -> None:
         if table.scores is not None:
             columns += table.scores[rows].T.tolist()
         writer.writerows(zip(*columns))
-
-
-def table_to_csv_text(table: PredictionTable) -> str:
-    buf = io.StringIO()
-    _write_rows(table, buf)
-    return buf.getvalue()
 
 
 def write_csv(table: PredictionTable, path) -> None:

@@ -1,7 +1,8 @@
 """Held-out evaluation of a meta tree: does the map still match the terrain?
 
-Both tables are routed through the tree.  For every leaf the metric is
-recomputed on the rows each table sends there; the report carries the mean
+Both tables are routed through the tree once.  For every leaf the metric is
+recomputed on the rows each table sends there, all leaves of a table in one
+exact grouped evaluation (:meth:`MetricStats.exact`); the report carries the mean
 absolute difference between the two sides (over leaves where both are
 defined) and the spread of the build-side values (largest minus smallest).
 """
@@ -16,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .dataset import PredictionTable
-from .metrics import MetricSpec, MetricValue, evaluate_indices
+# perfbench/launcher.py wraps perfex.evaluation.evaluate_indices by name.
+from .metrics import MetricSpec, MetricStats, MetricValue, evaluate_indices  # noqa: F401
 from .tree import MetaTree, assign
 
 
@@ -43,8 +45,8 @@ class EvaluationReport:
     spread: Optional[float]
     undefined_leaves: tuple[int, ...]
 
-    def to_doc(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        doc = {
             "metric": self.metric,
             "mae": self.mae,
             "spread": self.spread,
@@ -61,9 +63,7 @@ class EvaluationReport:
                 for c in self.leaves
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def to_text(self) -> str:
         def num(v) -> str:
@@ -104,34 +104,19 @@ def evaluate_tree(
     over the defined build-side values.
     """
     metric = metric or tree.metric
-    assigned_build = assign(tree, build)
-    assigned_test = assign(tree, test)
-
-    comparisons = []
-    errors = []
-    build_values = []
-    undefined = []
-    for stats in tree.leaf_stats():
-        lid = stats.leaf_id
-        bidx = np.flatnonzero(assigned_build == lid)
-        tidx = np.flatnonzero(assigned_test == lid)
-        e_build = evaluate_indices(metric, build, bidx)
-        e_test = evaluate_indices(metric, test, tidx)
-        comp = LeafComparison(lid, int(bidx.size), int(tidx.size), e_build, e_test)
-        comparisons.append(comp)
-        if e_build.defined:
-            build_values.append(e_build.value)
-        if comp.abs_error is None:
-            undefined.append(lid)
-        else:
-            errors.append(comp.abs_error)
-
+    n_leaves = tree.n_leaves  # leaf ids run 0..n_leaves-1, so a leaf id is a group
+    sides = []
+    # Both tables are routed before the metric is resolved against either.
+    for table, group in [(build, assign(tree, build)), (test, assign(tree, test))]:
+        stat = MetricStats(metric, table)
+        sides.append(np.bincount(group, minlength=n_leaves).tolist())
+        sides.append(stat.exact(stat.stats(np.arange(table.n)), group, n_leaves))
+    n_build, e_build, n_test, e_test = sides
+    leaves = zip(range(n_leaves), n_build, n_test, e_build, e_test)
+    comparisons = tuple(LeafComparison(*leaf) for leaf in leaves)
+    errors = [c.abs_error for c in comparisons if c.abs_error is not None]
+    build_values = [c.e_build.value for c in comparisons if c.e_build.defined]
+    undefined = tuple(c.leaf_id for c in comparisons if c.abs_error is None)
     mae = math.fsum(errors) / len(errors) if errors else None
     spread = max(build_values) - min(build_values) if build_values else None
-    return EvaluationReport(
-        metric=metric.name,
-        leaves=tuple(comparisons),
-        mae=mae,
-        spread=spread,
-        undefined_leaves=tuple(undefined),
-    )
+    return EvaluationReport(metric.name, comparisons, mae, spread, undefined)

@@ -10,7 +10,11 @@ Metric selection strings
 ------------------------
 ``accuracy`` | ``precision:<class>`` | ``recall:<class>`` | ``f1:<class>`` |
 ``weighted_precision`` | ``weighted_recall`` | ``weighted_f1`` |
-``ece:<bins>`` | ``mean_min_score:<class>,<class>[,...]``
+``ece:<bins>`` (1 to ``MAX_ECE_BINS``) | ``mean_min_score:<class>,<class>[,...]``
+
+Each metric is defined once, as per-row statistics (:class:`MetricStats`).
+One grouped call, :meth:`MetricStats.exact`, gives every exact value: one
+row set's, or those of all leaves of a held-out table at once.
 
 Determinism: value computations use exact integer counting where possible
 and exactly rounded float summation (``math.fsum``) elsewhere, so a metric
@@ -43,6 +47,9 @@ _WEIGHTED_KINDS = (WEIGHTED_PRECISION, WEIGHTED_RECALL, WEIGHTED_F1)
 KINDS = (ACCURACY,) + _CLASS_KINDS + _WEIGHTED_KINDS + (ECE, MEAN_MIN_SCORE)
 
 DEFAULT_ECE_BINS = 10
+# Each bin is three statistic columns of every row group the split sweep sums:
+# far more bins only exhaust memory, and bins this narrow hold few rows anyway.
+MAX_ECE_BINS = 1000
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,8 @@ class MetricSpec:
             raise ValueError(f"{self.kind} needs a class label")
         if self.kind == ECE and self.bins < 1:
             raise ValueError("ece needs at least one bin")
+        if self.kind == ECE and self.bins > MAX_ECE_BINS:
+            raise ValueError(f"ece takes at most {MAX_ECE_BINS} bins, got {self.bins}")
         if self.kind == MEAN_MIN_SCORE:
             if len(self.class_subset) < 2:
                 raise ValueError("mean_min_score needs at least two classes")
@@ -179,7 +188,8 @@ class MetricStats:
     - mean_min_score: amounts [min score over the class subset].
 
     :meth:`stats` gives each row's column codes, :meth:`sums` adds them up
-    over many row groups at once and :meth:`value` turns sums into values.
+    over many row groups at once, :meth:`value` turns sums into values and
+    :meth:`exact` turns exact sums into values.
     An amount sum that is off by ``e`` moves a value by at most ``e / n``
     before rounding, ``n`` being the row count of that set.
 
@@ -210,16 +220,16 @@ class MetricStats:
         self._place[self._codes] = np.arange(k)
 
     def stats(self, idx: np.ndarray):
-        """Per-row codes ``(counts, bins, weights)`` of rows ``idx``: row ``i``
-        adds one to each count column in ``counts[i]`` (``n_counts``: to none)
-        and ``weights[i]`` to amount column ``bins[i]`` (None: no amounts)."""
+        """Per-row codes ``(counts, weights)`` of rows ``idx``: row ``i`` adds one
+        to each count column in ``counts[i]`` (``n_counts``: to none) and
+        ``weights[i]`` (None: no amounts) to one amount column: the row's bin
+        ``counts[i, 0]`` for ece, else column 0."""
         table, kind, none = self.table, self.spec.kind, self._none
         correct = table.correct[idx]
         if kind == ACCURACY:
-            return np.where(correct, none.dtype.type(0), none)[:, None], None, None
+            return np.where(correct, none.dtype.type(0), none)[:, None], None
         if kind == MEAN_MIN_SCORE:
-            mins = table.scores[idx][:, self._codes].min(axis=1)
-            return np.empty((idx.size, 0), none.dtype), np.zeros(idx.size, none.dtype), mins
+            return np.empty((idx.size, 0), none.dtype), table.scores[idx][:, self._codes].min(axis=1)
         if kind == ECE:
             bins = self.spec.bins
             # Column by column: max(axis=1) is ten times slower on a few classes.
@@ -228,21 +238,42 @@ class MetricStats:
             # a row's bin is the number of inner edges below its confidence.
             edges = np.array([i / bins for i in range(1, bins)])
             which = np.searchsorted(edges, conf, side="left").astype(none.dtype)
-            return np.stack([which, np.where(correct, bins + which, none)], axis=1), which, conf
+            return np.stack([which, np.where(correct, bins + which, none)], axis=1), conf
         pred, true = self._place[table.pred_codes[idx]], self._place[table.y_codes[idx]]
         k, found = self._codes.size, true != none
         tp = np.where(found & correct, 2 * k + true, none)
-        return np.stack([pred, np.where(found, k + true, none), tp], axis=1), None, None
+        return np.stack([pred, np.where(found, k + true, none), tp], axis=1), None
+
+    def _amount_keys(self, group: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """``g * n_amounts + a`` per row of group ``g``, ``a`` its amount column."""
+        return group * self.n_amounts + (counts[:, 0] if self.spec.kind == ECE else 0)
 
     def sums(self, stats, group: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
         """Statistic sums ``(counts, amounts)`` of row groups: row ``g`` sums
         the rows of ``stats`` whose ``group`` is ``g``.  Counts are exact; a
         group's amounts are added up recursively, in the order given."""
-        counts, bins, weights = stats
+        counts, weights = stats
         width, a = self.n_counts + 1, self.n_amounts
         c = np.bincount((group[:, None] * width + counts).ravel(), minlength=n_groups * width)
-        w = np.bincount(group * a + bins, weights, minlength=n_groups * a) if a else np.zeros(0)
+        w = np.zeros(0)
+        if a:
+            w = np.bincount(self._amount_keys(group, counts), weights, minlength=n_groups * a)
         return c.reshape(n_groups, width)[:, :-1], w.reshape(n_groups, a)
+
+    def exact(self, stats, group: np.ndarray, n_groups: int) -> list[MetricValue]:
+        """Values of row groups, as :meth:`sums` groups them, from exact sums:
+        the counts of :meth:`sums`, and each group's amount column added once
+        by ``math.fsum``, which is correctly rounded, whatever the row order."""
+        counts, _ = self.sums(stats, group, n_groups)
+        amounts = np.zeros((n_groups, self.n_amounts))
+        if amounts.size:
+            keys = self._amount_keys(group, stats[0])
+            ends = np.cumsum(np.bincount(keys, minlength=amounts.size)).tolist()
+            w = stats[1][np.argsort(keys)]
+            amounts.flat = [math.fsum(w[s:e]) for s, e in zip([0] + ends, ends)]
+        n = np.bincount(group, minlength=n_groups)
+        pairs = zip(*(x.tolist() for x in self.value(counts, amounts, n)))
+        return [MetricValue(None if math.isnan(v) else v, s) for v, s in pairs]
 
     def value(
         self, counts: np.ndarray, amounts: np.ndarray, n: np.ndarray
@@ -313,14 +344,6 @@ def evaluate(spec: MetricSpec, view: SubsetView) -> MetricValue:
 
 
 def evaluate_indices(spec: MetricSpec, table: PredictionTable, indices: np.ndarray) -> MetricValue:
-    """Same as :func:`evaluate` but on a raw index array: ``value`` of the
-    exact statistic sums of those rows."""
+    """:func:`evaluate` on a raw index array: one group of :meth:`MetricStats.exact`."""
     metric = MetricStats(spec, table)
-    _, bins, weights = stats = metric.stats(indices)
-    counts, _ = metric.sums(stats, np.zeros(indices.size, dtype=np.intp), 1)
-    # math.fsum rounds the exact sum of each amount column once.
-    amounts = [math.fsum(weights[bins == a]) for a in range(metric.n_amounts)]
-    n = np.array([indices.size], dtype=np.int64)
-    values, supports = metric.value(counts, np.array([amounts], dtype=np.float64), n)
-    value = float(values[0])
-    return MetricValue(None if math.isnan(value) else value, int(supports[0]))
+    return metric.exact(metric.stats(indices), np.zeros(indices.size, dtype=np.intp), 1)[0]

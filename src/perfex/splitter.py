@@ -325,11 +325,5 @@ def best_split(
     if best is None:
         return None
     cand, mask, e_left, e_right, beta = best_exact or exact(*best)
-    return SplitResult(
-        cand,
-        SubsetView(table, vidx[mask]),
-        SubsetView(table, vidx[~mask]),
-        e_left,
-        e_right,
-        beta,
-    )
+    left, right = SubsetView(table, vidx[mask]), SubsetView(table, vidx[~mask])
+    return SplitResult(cand, left, right, e_left, e_right, beta)

@@ -175,9 +175,6 @@ class MetaTree:
             if isinstance(node, Leaf)
         ]
 
-    def to_json(self) -> str:
-        return serialize_tree(self)
-
     @classmethod
     def from_json(cls, text: str) -> "MetaTree":
         return deserialize_tree(text)
@@ -253,29 +250,23 @@ def assign(tree: MetaTree, table: PredictionTable) -> np.ndarray:
     if schema_fingerprint(table.schema, table.classes) != tree.schema_fingerprint:
         raise SchemaMismatchError("table schema does not match the tree")
     features = table.schema.features
-    for node, path in tree._walk():
-        if isinstance(node, Internal):
-            where = "".join(".left" if step.is_left else ".right" for step in path)
-            c = node.candidate
-            if not 0 <= c.feature < len(features):
-                raise TreeFormatError(f"feature index {c.feature} out of range in root{where}")
-            try:
-                c.left_mask(np.empty(0), features[c.feature])
-            except ValueError as exc:
-                raise TreeFormatError(f"{exc} in root{where}") from None
     out = np.empty(table.n, dtype=np.int64)
-    stack: list[tuple[Node, np.ndarray]] = [
-        (tree.root, np.arange(table.n, dtype=np.int64))
-    ]
+    # Depth-first pre-order, so the first node that does not fit is named.
+    stack: list[tuple[Node, np.ndarray, str]] = [(tree.root, np.arange(table.n), "root")]
     while stack:
-        node, idx = stack.pop()
+        node, idx, where = stack.pop()
         if isinstance(node, Leaf):
             out[idx] = node.leaf_id
             continue
         c = node.candidate
-        mask = c.left_mask(table.column(c.feature)[idx], features[c.feature])
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
+        if not 0 <= c.feature < len(features):
+            raise TreeFormatError(f"feature index {c.feature} out of range in {where}")
+        try:
+            mask = c.left_mask(table.column(c.feature)[idx], features[c.feature])
+        except ValueError as exc:
+            raise TreeFormatError(f"{exc} in {where}") from None
+        stack.append((node.right, idx[~mask], where + ".right"))
+        stack.append((node.left, idx[mask], where + ".left"))
     return out
 
 
@@ -321,14 +312,20 @@ def serialize_tree(tree: MetaTree) -> str:
 
 
 def _need(doc: dict, key: str, types, where: str):
+    """``doc[key]``, one of ``types``; ``float`` reads an int as a float too."""
     if not isinstance(doc, dict) or key not in doc:
         raise TreeFormatError(f"missing {key!r} in {where}")
     v = doc[key]
-    if not isinstance(v, types) or isinstance(v, bool):
+    if not isinstance(v, (int, float) if types is float else types) or isinstance(v, bool):
         raise TreeFormatError(f"bad type for {key!r} in {where}")
-    # json parses NaN and Infinity; no threshold, value or setting may be one.
-    if isinstance(v, float) and not math.isfinite(v):
-        raise TreeFormatError(f"non-finite {key!r} in {where}")
+    if types is float:
+        # json parses NaN, Infinity and ints of any size: each must be a finite float.
+        try:
+            v = float(v)
+        except OverflowError:
+            raise TreeFormatError(f"{key!r} too large for a float in {where}") from None
+        if not math.isfinite(v):
+            raise TreeFormatError(f"non-finite {key!r} in {where}")
     return v
 
 
@@ -338,22 +335,21 @@ def _node_from_doc(doc, ids, where: str) -> Node:
     if "leaf" in doc:
         leaf = doc["leaf"]
         size = _need(leaf, "size", int, where)
-        value = _need(leaf, "value", (int, float), where)
+        value = _need(leaf, "value", float, where)
         support = _need(leaf, "support", int, where)
         if size < 0 or support < 0:
             raise TreeFormatError(f"negative count in {where}")
-        return Leaf(next(ids), size, MetricValue(float(value), support), None)
+        return Leaf(next(ids), size, MetricValue(value, support), None)
     feature = _need(doc, "feature", int, where)
     kind = _need(doc, "kind", str, where)
     if kind not in ("le", "eq"):
         raise TreeFormatError(f"unknown split kind {kind!r} in {where}")
-    value = _need(doc, "value", (int, float) if kind == "le" else str, where)
+    value = _need(doc, "value", float if kind == "le" else str, where)
     if feature < 0:
         raise TreeFormatError(f"negative feature index in {where}")
     left = _node_from_doc(_need(doc, "left", dict, where), ids, where + ".left")
     right = _node_from_doc(_need(doc, "right", dict, where), ids, where + ".right")
-    cand = SplitCandidate(feature, kind, float(value) if kind == "le" else value)
-    return Internal(cand, left, right)
+    return Internal(SplitCandidate(feature, kind, value), left, right)
 
 
 def deserialize_tree(text: str) -> MetaTree:
@@ -365,7 +361,7 @@ def deserialize_tree(text: str) -> MetaTree:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise TreeFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise TreeFormatError(TOO_DEEP) from None
@@ -384,11 +380,9 @@ def deserialize_tree(text: str) -> MetaTree:
     try:
         stopping = StoppingRule(
             max_depth=_need(stop_doc, "max_depth", int, "stopping"),
-            min_beta=float(_need(stop_doc, "min_beta", (int, float), "stopping")),
-            confidence_z=float(_need(stop_doc, "confidence_z", (int, float), "stopping")),
-            max_interval_width=float(
-                _need(stop_doc, "max_interval_width", (int, float), "stopping")
-            ),
+            min_beta=_need(stop_doc, "min_beta", float, "stopping"),
+            confidence_z=_need(stop_doc, "confidence_z", float, "stopping"),
+            max_interval_width=_need(stop_doc, "max_interval_width", float, "stopping"),
         )
     except ValueError as exc:
         raise TreeFormatError(str(exc)) from None

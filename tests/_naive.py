@@ -34,9 +34,10 @@ from perfex.dataset import (
     SubsetView,
 )
 from perfex.errors import DataFormatError, EmptyTableError
+from perfex.evaluation import EvaluationReport, LeafComparison
 from perfex.metrics import evaluate_indices
 from perfex.splitter import SearchConfig, best_split
-from perfex.tree import Internal, Leaf, MetaTree, schema_fingerprint
+from perfex.tree import Internal, Leaf, MetaTree, assign, schema_fingerprint
 
 
 class NeedsScores(Exception):
@@ -240,6 +241,47 @@ def naive_grow(table, metric, stopping, alpha, max_thresholds=None):
     root = grow(rows, evaluate_indices(metric, table, rows), 0)
     fingerprint = schema_fingerprint(table.schema, table.classes)
     return MetaTree(root, metric, stopping, alpha, fingerprint, table.n)
+
+
+# -- held-out evaluation reference --------------------------------------------
+
+
+def naive_evaluate_tree(tree, metric, build, test):
+    """The report ``evaluate_tree`` should give, with one ``flatnonzero`` and
+    one ``evaluate_indices`` per leaf and side (the per-leaf loop the grouped
+    evaluation replaced, kept verbatim)."""
+    metric = metric or tree.metric
+    assigned_build = assign(tree, build)
+    assigned_test = assign(tree, test)
+
+    comparisons = []
+    errors = []
+    build_values = []
+    undefined = []
+    for stats in tree.leaf_stats():
+        lid = stats.leaf_id
+        bidx = np.flatnonzero(assigned_build == lid)
+        tidx = np.flatnonzero(assigned_test == lid)
+        e_build = evaluate_indices(metric, build, bidx)
+        e_test = evaluate_indices(metric, test, tidx)
+        comp = LeafComparison(lid, int(bidx.size), int(tidx.size), e_build, e_test)
+        comparisons.append(comp)
+        if e_build.defined:
+            build_values.append(e_build.value)
+        if comp.abs_error is None:
+            undefined.append(lid)
+        else:
+            errors.append(comp.abs_error)
+
+    mae = math.fsum(errors) / len(errors) if errors else None
+    spread = max(build_values) - min(build_values) if build_values else None
+    return EvaluationReport(
+        metric=metric.name,
+        leaves=tuple(comparisons),
+        mae=mae,
+        spread=spread,
+        undefined_leaves=tuple(undefined),
+    )
 
 
 # -- CART reference -----------------------------------------------------------

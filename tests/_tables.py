@@ -1,5 +1,9 @@
 """Hand-built tables and converters shared across the test modules."""
 
+import io
+
+import numpy as np
+
 from perfex import (
     ClassSet,
     Feature,
@@ -11,6 +15,7 @@ from perfex import (
     generate_blobs,
     predict_table,
 )
+from perfex.dataset import _write_rows
 
 
 def make_table(kinds, columns, y, pred, scores=None, classes=None, categories=None):
@@ -106,3 +111,30 @@ def baseline_table(n, m=8, seed=7):
         [(s.label, tuple(0.8 * v for v in s.mean), 1.2) for s in specs]
     )
     return predict_table(classifier, generate_blobs(specs, seed))
+
+
+def tables_equal(a, b) -> bool:
+    """Field-by-field equality of two PredictionTables, exact on every array."""
+    if a.schema != b.schema or a.classes != b.classes:
+        return False
+    if a.n != b.n:
+        return False
+    if a.scores_are_probabilities != b.scores_are_probabilities:
+        return False
+    for j in range(a.m):
+        if not np.array_equal(a.column(j), b.column(j)):
+            return False
+    if not (np.array_equal(a.y_codes, b.y_codes) and np.array_equal(a.pred_codes, b.pred_codes)):
+        return False
+    if (a.scores is None) != (b.scores is None):
+        return False
+    if a.scores is not None and not np.array_equal(a.scores, b.scores):
+        return False
+    return True
+
+
+def table_to_csv_text(table) -> str:
+    """The CSV text ``write_csv`` writes for ``table``."""
+    buf = io.StringIO()
+    _write_rows(table, buf)
+    return buf.getvalue()

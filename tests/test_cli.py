@@ -277,9 +277,11 @@ def split_node(feature, kind, value, left=LEAF, right=LEAF):
          "non-finite 'value' in root.left"),
         (split_node(0, "le", 2.5, right={"leaf": dict(LEAF["leaf"], value=float("inf"))}),
          "non-finite 'value' in root.right"),
+        ({"leaf": dict(LEAF["leaf"], value=10**400)},
+         "'value' too large for a float in root"),
     ],
     ids=["feature-out-of-range", "unknown-category", "le-on-categorical",
-         "nan-threshold", "infinite-leaf-value"],
+         "nan-threshold", "infinite-leaf-value", "huge-int-leaf-value"],
 )
 def test_evaluate_rejects_tree_that_does_not_fit_the_schema(tmp_path, root, message):
     rows = "".join(f"{x},{c},a,{p}\n" for x, c, p in [
@@ -312,6 +314,11 @@ def test_exit_code_two_on_argument_errors(tmp_path):
         assert f"bad split {command[-1]!r}" in p.stderr.decode()
     assert run_cli(["generate", "--preset", "nope", "--out", "b.csv"],
                    tmp_path).returncode == 2
+    # Rejected while parsing, before any bin edge is made.
+    p = run_cli(["fit", "--data", "x.csv", "--out", "t.json", "--metric", "ece:1000000000"],
+                tmp_path)
+    assert p.returncode == 2
+    assert "ece takes at most 1000 bins, got 1000000000" in p.stderr.decode()
 
 
 @pytest.mark.parametrize("delta", ["inf", "nan"])
@@ -373,19 +380,18 @@ def test_fit_confidence_level_sets_the_interval_z(tmp_path):
     assert stopping["confidence_z"] == NormalDist().inv_cdf(0.75)
 
 
-def test_threads_env_must_be_an_integer(tmp_path):
+def test_threads_env_is_ignored(tmp_path):
     (tmp_path / "t.csv").write_text("x,__true__,__pred__\n1,a,a\n2,b,b\n3,a,b\n")
-    for bad in ("abc", "0", "-3"):
-        p = run_cli(["fit", "--data", "t.csv", "--out", "t.json", "--alpha", "1",
-                     "--interval-width", "1.0"], tmp_path, threads=bad)
-        assert p.returncode == 2, bad
-        assert p.stderr.decode() == (
-            f"perfex: PERFEX_THREADS must be a positive integer, got {bad!r}\n"
-        )
-        assert not (tmp_path / "t.json").exists()
-    ok = run_cli(["fit", "--data", "t.csv", "--out", "t.json", "--alpha", "1",
-                  "--interval-width", "1.0"], tmp_path, threads="3")
-    assert ok.returncode == 0, ok.stderr
+    args = ["fit", "--data", "t.csv", "--out", "t.json", "--alpha", "1", "--interval-width", "1.0"]
+    unset = run_cli(args, tmp_path)
+    assert unset.returncode == 0, unset.stderr
+    tree = (tmp_path / "t.json").read_bytes()
+    for value in ("abc", "0", "-3", "3"):
+        (tmp_path / "t.json").unlink()
+        p = run_cli(args, tmp_path, threads=value)
+        assert p.returncode == 0, (value, p.stderr)
+        assert p.stdout == unset.stdout, value
+        assert (tmp_path / "t.json").read_bytes() == tree, value
 
 
 def test_writes_leave_no_temp_files(tmp_path):

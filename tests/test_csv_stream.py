@@ -24,6 +24,7 @@ from perfex import (
 from perfex import dataset
 
 from tests._naive import naive_load_table
+from tests._tables import tables_equal
 
 DEFAULT_CHUNK_ROWS = dataset._CHUNK_ROWS
 CHUNK_SIZES = (1, 2, 3, 5, DEFAULT_CHUNK_ROWS)
@@ -53,8 +54,8 @@ def assert_same(got, expected):
         assert (type(got), str(got)) == (type(expected), str(expected))
         return
     assert isinstance(got, PredictionTable), got
-    assert got.equals(expected)
-    # equals() sees -0.0 == 0.0, so compare signs too.
+    assert tables_equal(got, expected)
+    # tables_equal() sees -0.0 == 0.0, so compare signs too.
     for j, feature in enumerate(got.schema.features):
         if feature.kind != CATEGORICAL:
             assert np.array_equal(np.signbit(got.column(j)), np.signbit(expected.column(j)))

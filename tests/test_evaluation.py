@@ -1,21 +1,36 @@
 """Held-out comparison reports: per-leaf errors, mae, spread, formats."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from perfex import (
     ClassSet,
     MetricSpec,
+    MissingScoresError,
     PredictionTable,
+    SchemaMismatchError,
     StoppingRule,
+    assign,
     build_tree,
     evaluate_tree,
+    parse_metric,
 )
+from perfex.dataset import stratified_split
+from perfex.metrics import evaluate_indices
 
-from tests._naive import random_plain_table
-from tests._tables import worked_example_table, make_table, plain_to_table
+from tests._naive import all_metric_descs, naive_evaluate_tree, random_plain_table
+from tests._tables import (
+    baseline_table,
+    desc_to_spec,
+    make_table,
+    plain_to_table,
+    worked_example_table,
+)
 
 ACC = MetricSpec.accuracy()
 LOOSE = StoppingRule(max_depth=6, min_beta=0.0, confidence_z=1.96, max_interval_width=1.0)
@@ -145,3 +160,66 @@ def test_mae_agrees_with_per_leaf_recomputation():
             assert rep.mae is None
         vals = [c.e_build.value for c in rep.leaves if c.e_build.defined]
         assert rep.spread == max(vals) - min(vals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["accuracy", "weighted_f1", "ece:10", "mean_min_score:c0,c1"]),
+    st.integers(0, 40),
+)
+def test_report_equals_one_evaluation_per_leaf_and_side(seed, name, other):
+    # Grouped evaluation must give the per-leaf loop's report byte for byte,
+    # for the tree's metric and for another one, with leaves that get no
+    # test rows.
+    rng = np.random.default_rng(seed)
+    plain = random_plain_table(rng, max_rows=150, with_scores=True)
+    build = plain_to_table(plain)
+    metric = parse_metric(name)
+    assume(evaluate_indices(metric, build, np.arange(build.n)).defined)
+    rule = StoppingRule(max_depth=3, min_beta=0.0, confidence_z=1.0, max_interval_width=1.0)
+    tree = build_tree(build, metric, rule, alpha=3)
+    # The held-out rows skip leaf 0 and a random share of the others.
+    keep = (assign(tree, build) != 0) & (rng.random(build.n) < 0.6)
+    test = build.subset(np.flatnonzero(keep))
+    descs = all_metric_descs(plain["classes"])
+    for spec in (None, desc_to_spec(descs[other % len(descs)])):
+        got = evaluate_tree(tree, spec, build, test)
+        want = naive_evaluate_tree(tree, spec, build, test)
+        assert got.to_json() == want.to_json()
+        assert got.to_text() == want.to_text()
+        assert got.leaves[0].size_test == 0
+
+
+def test_both_tables_are_routed_before_the_metric_is_resolved():
+    t, tree = fig_tree()  # no score columns
+    ece = MetricSpec.ece(10)
+    other = make_table("n", [[1.0, 2.0]], ["a", "b"], ["a", "b"])  # feature named f0
+    with pytest.raises(SchemaMismatchError):
+        evaluate_tree(tree, ece, t, other)
+    with pytest.raises(MissingScoresError):
+        evaluate_tree(tree, ece, t, t)
+
+
+# sha256 of the evaluate_tree report JSON on a stratified 50/50 split (seed 0)
+# of the 20,000-row benchmark table, the tree built on the first half with
+# default settings.  Recorded with the per-leaf evaluation, before held-out
+# evaluation grouped its rows, with the numpy version the golden trees were.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_REPORTS = {
+    "accuracy": "964eb5b719fc70c39320230983ef8d811891dfc380f23883eba17067bf8cde14",
+    "weighted_f1": "55036bcb59869df9666abf6afee19ffb05faa884b0961b516cc10c082d0df80d",
+    "ece:10": "c1e5425f8266c24a5dc49f8f780c7fa8922e3914a1a42ccd5a376d71804df7cc",
+    "mean_min_score:0,1": "4531b9cc9f4fc7c93d78c07bec64ff4b494e4ac024b7c0b38a88d0d42f15b74d",
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != GOLDEN_NUMPY,
+    reason=f"golden reports were recorded with numpy {GOLDEN_NUMPY}, this is {np.__version__}",
+)
+def test_golden_reports_on_the_benchmark_table():
+    build, test = stratified_split(baseline_table(20_000), (0.5, 0.5), 0)
+    for name, digest in GOLDEN_REPORTS.items():
+        report = evaluate_tree(build_tree(build, parse_metric(name)), None, build, test)
+        assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest, name

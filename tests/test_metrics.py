@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfex import (
     ClassSet,
@@ -13,7 +15,7 @@ from perfex import (
     PredictionTable,
     parse_metric,
 )
-from perfex.metrics import evaluate, evaluate_indices
+from perfex.metrics import MAX_ECE_BINS, MetricStats, evaluate, evaluate_indices
 
 from tests._naive import NeedsScores, all_metric_descs, naive_metric, plain_rows, random_plain_table
 from tests._tables import desc_to_spec, worked_example_table, make_table, plain_to_table
@@ -262,5 +264,46 @@ def test_spec_validation():
         MetricSpec.mean_min_score(("a", "a"))
     with pytest.raises(ValueError):
         MetricSpec.weighted("accuracy")
+    with pytest.raises(ValueError, match=f"ece takes at most {MAX_ECE_BINS} bins"):
+        MetricSpec.ece(MAX_ECE_BINS + 1)
+    assert MetricSpec.ece(MAX_ECE_BINS).bins == MAX_ECE_BINS
     assert MetricSpec.ece(5).requires_scores
     assert not MetricSpec.accuracy().requires_scores
+
+
+def test_parse_metric_bounds_the_ece_bin_count():
+    # Rejected by MetricSpec, before MetricStats would make a bin edge.
+    assert MAX_ECE_BINS == 1000
+    assert parse_metric("ece:1000").bins == 1000
+    for text in ("ece:1001", "ece:1000000000"):
+        with pytest.raises(ValueError, match=r"ece takes at most 1000 bins, got \d+$"):
+            parse_metric(text)
+
+
+def exact_key(value: MetricValue):
+    """A metric value as its bits, None included."""
+    return (None if value.value is None else value.value.hex(), value.support)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.booleans(),
+)
+def test_grouped_exact_values_equal_one_evaluation_per_group(seed, n_groups, round_scores):
+    # Groups n_used..n_groups-1 get no rows, and with few rows so may others.
+    rng = np.random.default_rng(seed)
+    plain = random_plain_table(rng, max_rows=60, max_features=1, with_scores=True)
+    if round_scores:  # eighths: many equal confidences, some on a bin edge
+        k = len(plain["classes"])
+        plain["scores"] = (rng.multinomial(8, [1 / k] * k, len(plain["y"])) / 8).tolist()
+    t = plain_to_table(plain)
+    n_used = int(rng.integers(1, n_groups + 1))
+    group = rng.integers(0, n_used, t.n)
+    for desc in all_metric_descs(plain["classes"]):
+        spec = desc_to_spec(desc)
+        stat = MetricStats(spec, t)
+        got = stat.exact(stat.stats(np.arange(t.n)), group, n_groups)
+        want = [evaluate_indices(spec, t, np.flatnonzero(group == g)) for g in range(n_groups)]
+        assert [exact_key(v) for v in got] == [exact_key(v) for v in want], desc

@@ -22,10 +22,10 @@ from perfex import (
     split_dataset,
     two_gaussian_classifier,
 )
-from perfex.dataset import table_to_csv_text
 from perfex.metrics import evaluate
 
 from tests._naive import naive_cart
+from tests._tables import table_to_csv_text
 
 
 def two_gaussian_table(delta, n_per_class, seed):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from perfex import (
     MetricSpec,
     SchemaMismatchError,
     SearchConfig,
+    SplitCandidate,
     StoppingRule,
     SubsetView,
     TreeFormatError,
@@ -240,6 +242,21 @@ def test_assign_rejects_schema_mismatch():
         assign(tree, other2)
 
 
+def test_assign_names_the_first_bad_node_in_preorder():
+    t = worked_example_table()
+    built = build_tree(t, ACC, LOOSE, alpha=1)
+    leaf = built.root.left
+    bad_feature = Internal(SplitCandidate(3, "le", 0.0), leaf, leaf)
+    bad_kind = Internal(SplitCandidate(0, "eq", "red"), leaf, leaf)
+    root = Internal(
+        SplitCandidate(0, "le", -1.0), Internal(SplitCandidate(0, "le", -3.0), leaf, bad_feature),
+        bad_kind,
+    )
+    tree = replace(built, root=root)
+    with pytest.raises(TreeFormatError, match="feature index 3 out of range in root.left.right$"):
+        assign(tree, t)
+
+
 def test_assign_matches_split_semantics_on_fresh_rows():
     rng = np.random.default_rng(37)
     plain = random_plain_table(rng, max_rows=200, with_scores=False)
@@ -371,6 +388,47 @@ def test_deserialize_rejects_non_finite_numbers():
         mutate(doc)
         with pytest.raises(TreeFormatError, match="non-finite " + where):
             deserialize_tree(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (lambda d: d["root"].update(value=10**400), "'value' too large for a float in root$"),
+        (lambda d: d["root"]["left"]["leaf"].update(value=10**400),
+         "'value' too large for a float in root.left$"),
+        (lambda d: d["stopping"].update(min_beta=10**400),
+         "'min_beta' too large for a float in stopping$"),
+        (lambda d: d["stopping"].update(confidence_z=-(10**400)),
+         "'confidence_z' too large for a float in stopping$"),
+        (lambda d: d["stopping"].update(max_interval_width=10**400),
+         "'max_interval_width' too large for a float in stopping$"),
+    ],
+    ids=["le-value", "leaf-value", "min_beta", "confidence_z", "max_interval_width"],
+)
+def test_deserialize_rejects_ints_too_large_for_a_float(mutate, where):
+    # json reads integers of any size; float() of one past 1.8e308 overflows.
+    t = worked_example_table()
+    doc = json.loads(serialize_tree(build_tree(t, ACC, LOOSE, alpha=1)))
+    mutate(doc)
+    with pytest.raises(TreeFormatError, match=where):
+        deserialize_tree(json.dumps(doc))
+
+
+def test_deserialize_rejects_ints_past_the_digit_limit():
+    # json.loads raises a plain ValueError for an int of more than 4,300 digits.
+    t = worked_example_table()
+    text = serialize_tree(build_tree(t, ACC, LOOSE, alpha=1))
+    text = text.replace('"value":0.4', '"value":1' + "0" * 5000)
+    with pytest.raises(TreeFormatError, match="^not valid JSON: Exceeds the limit"):
+        deserialize_tree(text)
+
+
+def test_deserialize_bounds_the_ece_bin_count():
+    t = worked_example_table()
+    doc = json.loads(serialize_tree(build_tree(t, ACC, LOOSE, alpha=1)))
+    doc["metric"] = "ece:1000000000"
+    with pytest.raises(TreeFormatError, match="ece takes at most 1000 bins, got 1000000000$"):
+        deserialize_tree(json.dumps(doc))
 
 
 def test_deserialize_rejects_deeply_nested_tree():
