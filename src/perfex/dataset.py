@@ -29,6 +29,7 @@ import io
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -386,31 +387,44 @@ def _first_bad_cell(cells, first_row: int, column: str) -> DataFormatError:
     raise AssertionError("the chunk has no bad cell")
 
 
-def _records(text: str) -> list[list[str]]:
-    """The CSV records of ``text``, header first.  A record the ``csv`` module
-    rejects (a field over its size limit) raises a DataFormatError naming it."""
-    records = []
+# A character of invalid UTF-8 decoded with errors="surrogateescape".
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _raise_record_error(handle) -> None:
+    """Raise the DataFormatError for the first record of binary ``handle``,
+    read from its start, that cannot be read.  One stream is decoded and
+    parsed, and its records are counted, not kept.  A record the ``csv``
+    module rejects (a field over its size limit) comes first if the parse
+    rejects it before the file's first invalid UTF-8 byte; that byte's record
+    is the last record of the text before it plus a stand-in."""
+    text = io.TextIOWrapper(handle, "utf-8", "surrogateescape", newline="")
+    invalid = []
+
+    def lines():
+        for line in text:
+            bad = _ESCAPED_BYTE.search(line)
+            if bad:
+                invalid.append(True)
+                yield line[: bad.start()] + "?"
+                return
+            yield line
+
+    records = 0
     try:
-        for record in csv.reader(io.StringIO(text, newline="")):
-            records.append(record)
+        for records, _ in enumerate(csv.reader(lines()), 1):
+            pass
     except csv.Error as exc:
         if not records:
             raise DataFormatError(f"header: {exc}") from None
-        raise DataFormatError(str(exc), row=len(records)) from None
-    return records
-
-
-def _raise_record_error(data: bytes) -> None:
-    """Raise the DataFormatError for the first record of ``data`` that cannot
-    be read: invalid UTF-8, or a record the ``csv`` module rejects."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The bad byte's row: the last record of the text before it plus a stand-in.
-        row = len(_records(data[: exc.start].decode("utf-8") + "?")) - 1
+        raise DataFormatError(str(exc), row=records) from None
+    finally:
+        text.detach()  # so that dropping the wrapper leaves ``handle`` open
+    if invalid:
+        row = records - 1
         where = "text" if row else "header"
-        raise DataFormatError(f"{where} is not valid UTF-8", row=row or None) from None
-    _records(text)
+        raise DataFormatError(f"{where} is not valid UTF-8", row=row or None)
+    raise AssertionError("every record can be read")
 
 
 def _read_header(header: list[str], classes: ClassSet | None):
@@ -613,11 +627,12 @@ def load_table(
                 read = _read(csv.reader(text), schema, classes, categorical,
                              scores_are_probabilities)
             except (csv.Error, UnicodeDecodeError):
-                handle.seek(0)
-                _raise_record_error(handle.read())
-                raise
+                read = None  # found again below, once the failed pass is freed
             finally:
                 text.detach()  # so that dropping the wrapper leaves ``handle`` open
+            if read is None:
+                handle.seek(0)
+                _raise_record_error(handle)
             if isinstance(read, PredictionTable):
                 return read
             categorical |= read

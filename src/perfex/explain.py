@@ -20,7 +20,8 @@ import numpy as np
 
 from .dataset import BINARY, CATEGORICAL, FeatureSchema, PredictionTable
 from .errors import PerfexError
-from .tree import LeafStats
+from .splitter import SplitCandidate
+from .tree import LeafStats, check_split
 
 NO_CONDITIONS_TEMPLATE = "(no conditions — all {unit_noun})"
 
@@ -91,14 +92,17 @@ class _Bounds:
 def summarize_path(stats: LeafStats, schema: FeatureSchema) -> list[ConditionSummary]:
     """Collapse a leaf's path into one summary per constrained feature.
 
-    Features appear in order of first use on the path.  A path that denies
-    itself (empty interval, pinned and excluded category) raises
-    :class:`PerfexError`; the builder never produces one, so this guards
+    Features appear in order of first use on the path.  A step that does not
+    fit ``schema`` raises :class:`TreeFormatError` naming the leaf, and a path
+    that denies itself (empty interval, pinned and excluded category)
+    :class:`PerfexError`; the builder makes neither, so this guards
     hand-written trees.
     """
     order: list[int] = []
     bounds: dict[int, _Bounds] = {}
+    where = f"leaf {stats.leaf_id}"
     for step in stats.path:
+        check_split(SplitCandidate(step.feature, step.kind, step.value), schema.features, where)
         if step.feature not in bounds:
             bounds[step.feature] = _Bounds()
             order.append(step.feature)

@@ -13,8 +13,8 @@ Metric selection strings
 ``ece:<bins>`` (1 to ``MAX_ECE_BINS``) | ``mean_min_score:<class>,<class>[,...]``
 
 Each metric is defined once, as per-row statistics (:class:`MetricStats`).
-One grouped call, :meth:`MetricStats.exact`, gives every exact value: one
-row set's, or those of all leaves of a held-out table at once.
+One grouped call, :meth:`MetricStats.exact`, gives every exact value: a
+row set's, a split's two sides in growth, or a held-out table's leaves.
 
 Determinism: value computations use exact integer counting where possible
 and exactly rounded float summation (``math.fsum``) elsewhere, so a metric

@@ -12,22 +12,22 @@ replaces the incumbent only on a strict beta improvement, so the first
 maximal candidate in enumeration order always wins.  Beta improvements
 smaller than ``BETA_TIE_TOLERANCE`` count as ties.
 
-The search is a sweep over presorted columns (SLIQ / SPRINT split
-finding): a tree build takes the metric's per-row statistic codes once for
-the whole table and sorts each feature's column once, stably, at the root;
-at each split, every sorted order is stable-partitioned between the two
-children, so a node's rows come already sorted by every feature.
-``x <= v`` sends a prefix of the sorted rows left and ``x == c`` one run of
-them, so the bounds of all conditions cut the sorted rows into segments (at
-most 257 at the default threshold cap).  One grouped sum per feature gives
-the statistic sums of every segment, a cumulative sum over the segments
-gives both sides of every condition, and the metric turns them into values
-at once.  Count statistics sum exactly, so those betas are the ones a
+The search is a sweep over presorted columns (SLIQ / SPRINT split finding):
+:func:`presort` resolves a build's metric (:class:`MetricStats`), takes its
+per-row statistic codes once for the whole table and sorts each feature's
+column once, stably; at each split, every sorted order is stable-partitioned
+between the two children, so a node's rows come already sorted by every
+feature.  ``x <= v`` sends a prefix of the sorted rows left and ``x == c``
+one run of them, so the bounds of all conditions cut the sorted rows into
+segments (at most 257 at the default threshold cap).  One grouped sum per
+feature gives the statistic sums of every segment, a cumulative sum over the
+segments gives both sides of every condition, and the metric turns them into
+values at once.  Count statistics sum exactly, so those betas are the ones a
 separate evaluation of each side gives, bit for bit.  Float statistics
 (``ece``, ``mean_min_score``) do not: their segment-sum betas decide a
 comparison only when they do so by more than a bound on their error, and
 every other comparison is decided on exactly evaluated betas.  The winner's
-side values and beta are always evaluated exactly.
+side values and beta are always evaluated exactly, from the node's codes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import CATEGORICAL, Feature, SubsetView
-from .metrics import MetricSpec, MetricStats, MetricValue, evaluate_indices
+# perfbench/launcher.py wraps perfex.splitter.evaluate_indices by name.
+from .metrics import MetricSpec, MetricStats, MetricValue, evaluate_indices  # noqa: F401
 
 BETA_TIE_TOLERANCE = 1e-12
 
@@ -63,26 +64,29 @@ class SplitCandidate:
     kind: str
     value: float | str
 
+    def check(self, feature: Feature) -> None:
+        """Raise ValueError unless the condition fits ``feature``, the schema
+        entry of column ``self.feature``: ``le`` on numeric and binary
+        features, ``eq`` with one of its categories on categorical ones."""
+        if self.kind != ("eq" if feature.kind == CATEGORICAL else "le"):
+            raise ValueError(
+                f"split kind {self.kind!r} does not fit {feature.kind} feature {feature.name!r}"
+            )
+        if self.kind == "eq" and self.value not in feature.categories:
+            raise ValueError(f"value {self.value!r} is not a category of {feature.name!r}")
+
     def left_mask(self, values: np.ndarray, feature: Feature) -> np.ndarray:
         """Which of ``values`` go left: the routing rule for every split.
 
         ``values`` are stored values of column ``self.feature`` (floats, or
         category codes if categorical) and ``feature`` is its schema entry.
         Rows exactly at a numeric threshold go left.  Raises ValueError when
-        the condition does not fit the feature.
+        the condition does not fit the feature (:meth:`check`).
         """
-        if feature.kind != CATEGORICAL:
-            if self.kind == "le":
-                return values <= self.value
-        elif self.kind == "eq":
-            if self.value not in feature.categories:
-                raise ValueError(
-                    f"value {self.value!r} is not a category of {feature.name!r}"
-                )
-            return values == feature.categories.index(self.value)
-        raise ValueError(
-            f"split kind {self.kind!r} does not fit {feature.kind} feature {feature.name!r}"
-        )
+        self.check(feature)
+        if self.kind == "le":
+            return values <= self.value
+        return values == feature.categories.index(self.value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +254,7 @@ def best_split(
     def exact(j: int, value):
         cand = SplitCandidate(j, "eq" if features[j].kind == CATEGORICAL else "le", value)
         mask = cand.left_mask(view.column(j), features[j])
-        e_left = evaluate_indices(metric, table, vidx[mask])
-        e_right = evaluate_indices(metric, table, vidx[~mask])
+        e_right, e_left = stat.exact(stats, mask.astype(np.intp), 2)
         return cand, mask, e_left, e_right, abs(e_left.value - e_right.value)
 
     best_beta = 0.0

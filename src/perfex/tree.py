@@ -29,7 +29,8 @@ from .errors import (
     TreeFormatError,
     UndefinedMetricError,
 )
-from .metrics import MetricSpec, MetricValue, evaluate, parse_metric
+# perfbench/launcher.py wraps perfex.tree.evaluate by name.
+from .metrics import MetricSpec, MetricValue, evaluate, parse_metric  # noqa: F401
 from .splitter import SearchConfig, SplitCandidate, best_split, partition, presort
 
 FORMAT_VERSION = 1
@@ -199,16 +200,15 @@ def build_tree(
     stopping = stopping or StoppingRule()
     if table.n == 0:
         raise EmptyTableError("cannot build a tree on an empty table")
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
     if table.n < alpha:
         raise ValueError(f"table has {table.n} rows, fewer than alpha={alpha}")
 
     config = SearchConfig(
         alpha=alpha, min_support=stopping.min_support, max_thresholds=max_thresholds
     )
-    root_view = table.full_view()
-    root_value = evaluate(metric, root_view)
+    root_view = presort(table.full_view(), metric)  # the build's one MetricStats
+    stat, codes, _ = root_view.presorted
+    root_value = stat.exact(codes, np.zeros(table.n, dtype=np.intp), 1)[0]
     if not root_value.defined:
         raise UndefinedMetricError(
             f"metric {metric.name} is undefined on the whole table"
@@ -228,9 +228,8 @@ def build_tree(
                 return Internal(found.candidate, left, right)
         return Leaf(next(ids), len(view), value, view.indices)
 
-    root = grow(presort(root_view, metric), root_value, 0)
     return MetaTree(
-        root=root,
+        root=grow(root_view, root_value, 0),
         metric=metric,
         stopping=stopping,
         alpha=alpha,
@@ -259,15 +258,22 @@ def assign(tree: MetaTree, table: PredictionTable) -> np.ndarray:
             out[idx] = node.leaf_id
             continue
         c = node.candidate
-        if not 0 <= c.feature < len(features):
-            raise TreeFormatError(f"feature index {c.feature} out of range in {where}")
-        try:
-            mask = c.left_mask(table.column(c.feature)[idx], features[c.feature])
-        except ValueError as exc:
-            raise TreeFormatError(f"{exc} in {where}") from None
+        check_split(c, features, where)
+        mask = c.left_mask(table.column(c.feature)[idx], features[c.feature])
         stack.append((node.right, idx[~mask], where + ".right"))
         stack.append((node.left, idx[mask], where + ".left"))
     return out
+
+
+def check_split(c: SplitCandidate, features, where: str) -> None:
+    """Raise :class:`TreeFormatError`, naming ``where``, unless split ``c`` fits
+    schema ``features``: its feature exists and :meth:`SplitCandidate.check` passes."""
+    if not 0 <= c.feature < len(features):
+        raise TreeFormatError(f"feature index {c.feature} out of range in {where}")
+    try:
+        c.check(features[c.feature])
+    except ValueError as exc:
+        raise TreeFormatError(f"{exc} in {where}") from None
 
 
 # -- serialization ----------------------------------------------------------

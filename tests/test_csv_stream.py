@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from perfex import (
     CATEGORICAL,
     ClassSet,
+    DataFormatError,
     Feature,
     FeatureSchema,
     PredictionTable,
@@ -24,7 +25,7 @@ from perfex import (
 from perfex import dataset
 
 from tests._naive import naive_load_table
-from tests._tables import tables_equal
+from tests._tables import baseline_table, tables_equal
 
 DEFAULT_CHUNK_ROWS = dataset._CHUNK_ROWS
 CHUNK_SIZES = (1, 2, 3, 5, DEFAULT_CHUNK_ROWS)
@@ -219,3 +220,29 @@ def test_load_and_write_memory_stay_near_the_file_size(tmp_path):
     _, write_peak = traced_peak(lambda: write_csv(table, out))
     assert write_peak < WRITE_PEAK_PER_BYTE * len(data)
     assert out.read_bytes() == data
+
+
+# Up to the error, a failing load makes the same pass a valid one does, and
+# the two peak within a few hundred bytes of each other, either way.
+PASS_JITTER = 1.01
+
+
+def test_record_errors_take_no_more_memory_than_a_valid_load(tmp_path):
+    # The record-error pass decodes and parses one stream and counts records.
+    # Holding the whole text and every record, it peaked at 3.6x the valid load.
+    path = tmp_path / "valid.csv"
+    write_csv(baseline_table(20_000), path)
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    _, valid_peak = traced_peak(lambda: load_table(path))
+    bad = tmp_path / "bad.csv"
+    for insert, error in ((b"\xff", "text is not valid UTF-8"),
+                          (OVERSIZED.encode(), r"field larger than field limit \(131072\)")):
+        bad.write_bytes(data[:last] + insert + data[last:])
+
+        def failing_load():
+            with pytest.raises(DataFormatError, match=f"^row 20000: {error}$"):
+                load_table(bad)
+
+        _, peak = traced_peak(failing_load)
+        assert peak <= PASS_JITTER * valid_peak, error

@@ -9,6 +9,7 @@ from perfex import (
     MetricSpec,
     PerfexError,
     StoppingRule,
+    TreeFormatError,
     build_tree,
     default_phrase,
     leaf_row_mask,
@@ -180,6 +181,39 @@ def test_default_phrase_per_metric():
     assert default_phrase(MetricSpec.weighted("f1")) == "weighted f1"
     assert default_phrase(MetricSpec.ece(10)) == "the expected calibration error"
     assert "a, b" in default_phrase(MetricSpec.mean_min_score(("a", "b")))
+
+
+# Features x (numeric) and c (categorical, a/b), as a hand-written tree may
+# misuse them: a step that does not fit is named with its leaf.
+XC = FeatureSchema((Feature("x", "numeric"), Feature("c", "categorical", ("a", "b"))))
+
+
+def misfit(step):
+    return LeafStats(3, 10, MetricValue(0.5, 10), (PathStep(0, "le", 1.0, True), step))
+
+
+def test_category_step_on_a_numeric_feature_is_named():
+    with pytest.raises(
+        TreeFormatError, match=r"^split kind 'eq' does not fit numeric feature 'x' in leaf 3$"
+    ):
+        summarize_path(misfit(PathStep(0, "eq", "a", True)), XC)
+
+
+def test_threshold_step_on_a_categorical_feature_is_named():
+    with pytest.raises(
+        TreeFormatError, match=r"^split kind 'le' does not fit categorical feature 'c' in leaf 3$"
+    ):
+        summarize_path(misfit(PathStep(1, "le", 0.5, False)), XC)
+
+
+def test_step_on_an_unknown_category_is_named():
+    with pytest.raises(TreeFormatError, match=r"^value 'zz' is not a category of 'c' in leaf 3$"):
+        summarize_path(misfit(PathStep(1, "eq", "zz", True)), XC)
+
+
+def test_step_on_a_feature_out_of_range_is_named():
+    with pytest.raises(TreeFormatError, match=r"^feature index 5 out of range in leaf 3$"):
+        summarize_path(misfit(PathStep(5, "le", 0.5, True)), XC)
 
 
 def test_undefined_leaf_value_renders_na():

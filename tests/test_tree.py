@@ -29,11 +29,17 @@ from perfex import (
     serialize_tree,
 )
 from perfex.dataset import ClassSet, Feature, FeatureSchema, PredictionTable
-from perfex.metrics import evaluate_indices
+from perfex.metrics import KINDS, MetricStats, evaluate_indices
 from perfex.tree import Internal, Leaf
 
-from tests._naive import naive_grow, random_plain_table
-from tests._tables import baseline_table, worked_example_table, make_table, plain_to_table
+from tests._naive import all_metric_descs, naive_grow, random_plain_table
+from tests._tables import (
+    baseline_table,
+    desc_to_spec,
+    make_table,
+    plain_to_table,
+    worked_example_table,
+)
 
 ACC = MetricSpec.accuracy()
 LOOSE = StoppingRule(max_depth=6, min_beta=0.0, confidence_z=1.96, max_interval_width=1.0)
@@ -173,15 +179,51 @@ def test_leaf_ids_follow_preorder_and_partition_rows():
     assert total == t.n
 
 
-def test_leaf_metric_values_match_recomputation():
-    rng = np.random.default_rng(19)
-    plain = random_plain_table(rng, max_rows=250, with_scores=False)
+def bits(value):
+    """A metric value as its bits, None included."""
+    return (None if value.value is None else value.value.hex(), value.support)
+
+
+def grown_trees():
+    """A tree of depth 3 for every metric of ``all_metric_descs``, every kind
+    among them, on one random table with scores (151 rows, 3 classes); and
+    the table."""
+    plain = random_plain_table(np.random.default_rng(19), max_rows=250, with_scores=True)
     t = plain_to_table(plain)
     rule = StoppingRule(max_depth=3, min_beta=0.0, confidence_z=1.0, max_interval_width=1.0)
-    tree = build_tree(t, MetricSpec.weighted("recall"), rule, alpha=10)
-    for leaf in tree.leaves():
-        again = evaluate_indices(MetricSpec.weighted("recall"), t, leaf.indices)
-        assert leaf.metric == again  # stored values, not re-derived ones
+    specs = [desc_to_spec(desc) for desc in all_metric_descs(plain["classes"])]
+    assert {spec.kind for spec in specs} == set(KINDS)
+    return [build_tree(t, spec, rule, alpha=10) for spec in specs], t
+
+
+def test_leaf_metric_values_match_recomputation():
+    trees, t = grown_trees()
+    for tree in trees:
+        assert tree.n_leaves > 1
+        for leaf in tree.leaves():
+            again = evaluate_indices(tree.metric, t, leaf.indices)
+            # Stored values, not re-derived ones, bit for bit.
+            assert bits(leaf.metric) == bits(again), tree.metric.name
+
+
+def test_a_build_resolves_its_metric_once(monkeypatch):
+    # One MetricStats, and one stats() call on the whole table, per build:
+    # the root value, the sweep and the winners' side values all come from it.
+    calls = []
+
+    def counting(name):
+        fn = getattr(MetricStats, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return fn(self, *args)
+
+        return counted
+
+    for name in ("__init__", "stats"):
+        monkeypatch.setattr(MetricStats, name, counting(name))
+    trees, _ = grown_trees()
+    assert calls == ["__init__", "stats"] * len(trees)
 
 
 def test_no_admissible_split_remains_at_any_leaf():
