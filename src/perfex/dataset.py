@@ -17,19 +17,18 @@ are rejected at load time; there is no imputation.
 Loads and writes stream in chunks of ``_CHUNK_ROWS`` records, so peak memory
 stays near the size of the finished arrays.  A load reads the source once,
 unless an inferred column turns out to hold text only after its first chunk;
-it then reads the source again with that column categorical.  Either way a
-malformed file raises the same error, found in the documented order.
+it then reads the source again with that column categorical.  Any error,
+invalid UTF-8 included, is found in the pass that reads the records.
 """
 
 from __future__ import annotations
 
-import collections
+import codecs
 import csv
 import io
 import itertools
 import math
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -387,44 +386,33 @@ def _first_bad_cell(cells, first_row: int, column: str) -> DataFormatError:
     raise AssertionError("the chunk has no bad cell")
 
 
-# A character of invalid UTF-8 decoded with errors="surrogateescape".
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+class _Utf8Prefix(io.RawIOBase):
+    """Binary ``handle`` up to and including its first byte that is not valid
+    UTF-8, so that a decode with errors="replace" ends in one stand-in
+    character there; ``bad`` tells whether that byte has been read.  A
+    multi-byte sequence cut at the end of a block waits for the next."""
 
+    def __init__(self, handle):
+        self.handle, self.held, self.bad = handle, b"", False
 
-def _raise_record_error(handle) -> None:
-    """Raise the DataFormatError for the first record of binary ``handle``,
-    read from its start, that cannot be read.  One stream is decoded and
-    parsed, and its records are counted, not kept.  A record the ``csv``
-    module rejects (a field over its size limit) comes first if the parse
-    rejects it before the file's first invalid UTF-8 byte; that byte's record
-    is the last record of the text before it plus a stand-in."""
-    text = io.TextIOWrapper(handle, "utf-8", "surrogateescape", newline="")
-    invalid = []
+    def readable(self) -> bool:
+        return True
 
-    def lines():
-        for line in text:
-            bad = _ESCAPED_BYTE.search(line)
-            if bad:
-                invalid.append(True)
-                yield line[: bad.start()] + "?"
-                return
-            yield line
-
-    records = 0
-    try:
-        for records, _ in enumerate(csv.reader(lines()), 1):
-            pass
-    except csv.Error as exc:
-        if not records:
-            raise DataFormatError(f"header: {exc}") from None
-        raise DataFormatError(str(exc), row=records) from None
-    finally:
-        text.detach()  # so that dropping the wrapper leaves ``handle`` open
-    if invalid:
-        row = records - 1
-        where = "text" if row else "header"
-        raise DataFormatError(f"{where} is not valid UTF-8", row=row or None)
-    raise AssertionError("every record can be read")
+    def readinto(self, buffer) -> int:
+        data = b""
+        while not (data or self.bad):
+            block = self.handle.read(len(buffer) - len(self.held))
+            data, self.held = self.held + block, b""
+            if not data.isascii():
+                try:
+                    size = codecs.utf_8_decode(data, "strict", not block)[1]
+                except UnicodeDecodeError as exc:
+                    size, self.bad = exc.start + 1, True
+                data, self.held = data[:size], data[size:]
+            if not block:
+                break
+        buffer[: len(data)] = data
+        return len(data)
 
 
 def _read_header(header: list[str], classes: ClassSet | None):
@@ -458,19 +446,29 @@ def _read_header(header: list[str], classes: ClassSet | None):
     return true_at, classes
 
 
-def _read(records, schema, classes, categorical: set[int], scores_are_probabilities):
-    """One pass over the CSV ``records``, chunk by chunk, straight into typed
-    columns.  Returns the table, or the inferred feature columns found to hold
-    text only after their first chunk: the caller reads again with those in
-    ``categorical``."""
-    header = next(records, None)
+def _read(handle, schema, classes, categorical: set[int], scores_are_probabilities):
+    """One pass over the CSV records of binary ``handle``, chunk by chunk,
+    straight into typed columns.  Returns the table, or the inferred feature
+    columns found to hold text only after their first chunk: the caller reads
+    again with those in ``categorical``.
+
+    The pass ends at the first byte that is not valid UTF-8.  A record the
+    ``csv`` module rejects raises at once; any other error waits for the end
+    of the pass, where invalid UTF-8 comes first, then the header."""
+    source = _Utf8Prefix(handle)
+    text = io.TextIOWrapper(io.BufferedReader(source), "utf-8", "replace", newline="")
+    records = csv.reader(text)
+    try:
+        header = next(records, None)
+    except csv.Error as exc:
+        raise DataFormatError(f"header: {exc}") from None
     if header is None:
         raise DataFormatError("empty file: no header")
+    header_error = None
     try:
         true_at, classes = _read_header(header, classes)
-    except DataFormatError:
-        collections.deque(records, maxlen=0)  # a record error later on comes first
-        raise
+    except DataFormatError as exc:
+        header_error, true_at = exc, 0
     feature_names = header[:true_at]
     mismatch = schema is not None and schema.names != tuple(feature_names)
     declared = schema.features if schema is not None else ()
@@ -481,13 +479,20 @@ def _read(records, schema, classes, categorical: set[int], scores_are_probabilit
     errors: dict[int, DataFormatError] = {}  # the first bad cell of each number column
     width, n, width_error, late = len(header), 0, None, set()
 
-    for chunk in iter(lambda: list(itertools.islice(records, _CHUNK_ROWS)), []):
+    while True:
+        chunk = []
+        try:
+            chunk.extend(itertools.islice(records, _CHUNK_ROWS))
+        except csv.Error as exc:
+            raise DataFormatError(str(exc), row=n + len(chunk) + 1) from None
+        if not chunk:
+            break
         if width_error is None and set(map(len, chunk)) != {width}:
             i = next(i for i, record in enumerate(chunk) if len(record) != width)
             width_error = DataFormatError(
                 f"expected {width} cells, got {len(chunk[i])}", row=n + i + 1
             )
-        if width_error is None and not mismatch:
+        if width_error is None and header_error is None and not mismatch:
             for j, cells in enumerate(zip(*chunk)):
                 if j in labels:
                     labels[j].add(cells)
@@ -512,6 +517,10 @@ def _read(records, schema, classes, categorical: set[int], scores_are_probabilit
                 return late
         n += len(chunk)
 
+    if source.bad:
+        raise DataFormatError(f"{'text' if n else 'header'} is not valid UTF-8", row=n or None)
+    if header_error is not None:
+        raise header_error
     if n == 0:
         raise EmptyTableError("table has no data rows")
     if width_error is not None:
@@ -596,8 +605,8 @@ def load_table(
     ------
     DataFormatError
         On any malformed content; the offending 1-based data row is named
-        where applicable.  A record the ``csv`` module rejects, or invalid
-        UTF-8, comes first, then the header.  After every row's width is
+        where applicable.  A record the ``csv`` module rejects comes first,
+        then invalid UTF-8, then the header.  After every row's width is
         checked, cells are checked column by column, left to right, so the
         error names the first bad cell of the first bad column.  An empty
         table is an error.
@@ -622,17 +631,7 @@ def load_table(
     with handle:
         while True:
             handle.seek(0)
-            text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
-            try:
-                read = _read(csv.reader(text), schema, classes, categorical,
-                             scores_are_probabilities)
-            except (csv.Error, UnicodeDecodeError):
-                read = None  # found again below, once the failed pass is freed
-            finally:
-                text.detach()  # so that dropping the wrapper leaves ``handle`` open
-            if read is None:
-                handle.seek(0)
-                _raise_record_error(handle)
+            read = _read(handle, schema, classes, categorical, scores_are_probabilities)
             if isinstance(read, PredictionTable):
                 return read
             categorical |= read

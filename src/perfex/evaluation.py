@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import PredictionTable
+from .errors import TreeFormatError
 # perfbench/launcher.py wraps perfex.evaluation.evaluate_indices by name.
 from .metrics import MetricSpec, MetricStats, MetricValue, evaluate_indices  # noqa: F401
 from .tree import MetaTree, assign
@@ -98,17 +99,23 @@ def evaluate_tree(
 ) -> EvaluationReport:
     """Compare per-leaf metric values between two tables routed through ``tree``.
 
-    ``metric`` defaults to the metric the tree was built for.  Leaves whose
+    ``metric`` defaults to the metric the tree was built for; a tree metric
+    that names a class the tables lack raises TreeFormatError.  Leaves whose
     test side is empty or undefined (or whose build side is) are excluded
     from the mean and listed in ``undefined_leaves``; the spread is taken
     over the defined build-side values.
     """
-    metric = metric or tree.metric
+    spec = metric or tree.metric
     n_leaves = tree.n_leaves  # leaf ids run 0..n_leaves-1, so a leaf id is a group
     sides = []
     # Both tables are routed before the metric is resolved against either.
     for table, group in [(build, assign(tree, build)), (test, assign(tree, test))]:
-        stat = MetricStats(metric, table)
+        try:
+            stat = MetricStats(spec, table)
+        except ValueError as exc:
+            if metric is not None:  # the caller's metric, not the tree's
+                raise
+            raise TreeFormatError(str(exc)) from None
         sides.append(np.bincount(group, minlength=n_leaves).tolist())
         sides.append(stat.exact(stat.stats(np.arange(table.n)), group, n_leaves))
     n_build, e_build, n_test, e_test = sides
@@ -119,4 +126,4 @@ def evaluate_tree(
     undefined = tuple(c.leaf_id for c in comparisons if c.abs_error is None)
     mae = math.fsum(errors) / len(errors) if errors else None
     spread = max(build_values) - min(build_values) if build_values else None
-    return EvaluationReport(metric.name, comparisons, mae, spread, undefined)
+    return EvaluationReport(spec.name, comparisons, mae, spread, undefined)

@@ -185,7 +185,8 @@ class GaussianDensityClassifier:
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         dim = X.shape[1]
-        d2 = ((X[:, None, :] - self._means[None, :, :]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):  # an infinite distance is a density of zero
+            d2 = ((X[:, None, :] - self._means[None, :, :]) ** 2).sum(axis=2)
         log_dens = -d2 / (2.0 * self._sigmas**2) - dim * np.log(
             self._sigmas * math.sqrt(2.0 * math.pi)
         )

@@ -332,6 +332,16 @@ def test_generate_rejects_a_non_finite_delta(tmp_path, delta):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("delta", ["1e155", "1e308"])
+def test_generate_with_a_huge_delta_writes_nothing_to_stderr(tmp_path, delta):
+    # The squared distance to the far class mean overflows to inf, a density of zero.
+    p = run_cli(["generate", "--preset", "two-gaussian", "--n", "50", "--delta", delta,
+                 "--out", "g.csv"], tmp_path)
+    assert p.returncode == 0
+    assert p.stderr == b""
+    assert n_lines(tmp_path / "g.csv") == 101
+
+
 @pytest.mark.parametrize("setting, message", [
     ("inf", "min_beta must be non-negative and finite, got inf"),
     ("nan", "min_beta must be non-negative and finite, got nan"),

@@ -40,6 +40,7 @@ LABELS = ("a", "b", "c,d")
 SCORE_ROWS = {2: [("0.25", "0.75"), ("1", "0"), ("0.5", "0.5")],
               3: [("0.2", "0.3", "0.5"), ("1.0", "0", "-0.0"), ("0.1", "0.1", "0.8")]}
 OVERSIZED = "a" * 131_073
+CUT_SEQUENCES = [b"\xe2\x82", b"\xc3"]  # the start of a multi-byte character only
 
 
 def outcome(load, source, **kwargs):
@@ -89,7 +90,7 @@ def csv_inputs(draw):
 
     mutation = draw(st.sampled_from([
         None, "cell", "extra cell", "missing cell", "header", "late text", "oversized",
-        "truncate", "bad utf-8", "stray quote",
+        "truncate", "bad utf-8", "stray quote", "cut utf-8", "nothing but a cut",
     ]))
     r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, len(header) - 1))
     if mutation == "cell":
@@ -111,9 +112,12 @@ def csv_inputs(draw):
     data = buf.getvalue().encode("utf-8")
     if mutation == "truncate":
         data = data[: len(data) - draw(st.integers(1, len(data) - data.rfind(b"\n", 0, -1)))]
-    elif mutation in ("bad utf-8", "stray quote"):
+    elif mutation in ("bad utf-8", "stray quote", "cut utf-8"):
         at = draw(st.integers(0, len(data)))
-        data = data[:at] + (b"\xff" if mutation == "bad utf-8" else b'"') + data[at:]
+        insert = {"bad utf-8": b"\xff", "stray quote": b'"'}.get(mutation)
+        data = data[:at] + (insert or draw(st.sampled_from(CUT_SEQUENCES))) + data[at:]
+    elif mutation == "nothing but a cut":
+        data = draw(st.sampled_from(CUT_SEQUENCES))
 
     declare = draw(st.sampled_from([None, "schema", "classes"]))
     kwargs = {"scores_are_probabilities": draw(st.booleans())}
@@ -146,6 +150,21 @@ def test_streamed_load_matches_the_whole_text_loader(case, as_file):
             mp.setattr(dataset, "_CHUNK_ROWS", size)
             got = outcome(load_table, io.BytesIO(data) if as_file else data, **kwargs)
         assert_same(got, expected)
+
+
+def test_multi_byte_characters_across_read_blocks_match_the_whole_text_loader():
+    # Over 64 KiB, a non-ASCII category in every row: characters of two and
+    # three bytes straddle the ends of the blocks the load reads.
+    cats = ["é", "€uro", "日本"]
+    body = "".join(f"{i / 7!r},{cats[i % 3]},{'ab'[i % 2]},{'ab'[i % 5 % 2]}\n"
+                   for i in range(4000))
+    data = ("x,c,__true__,__pred__\n" + body).encode("utf-8")
+    blocks = range(io.DEFAULT_BUFFER_SIZE, len(data), io.DEFAULT_BUFFER_SIZE)
+    assert any(0x80 <= data[at] < 0xC0 for at in blocks)  # a block starts mid-character
+    near_end = len(data) - 100
+    for case in (data, data[:near_end] + b"\xff" + data[near_end:],
+                 data[:near_end] + b"\xe2\x82" + data[near_end:]):
+        assert_same(outcome(load_table, case), outcome(naive_load_table, case))
 
 
 def test_text_after_the_first_chunk_reads_the_column_again(tmp_path):
@@ -228,8 +247,9 @@ PASS_JITTER = 1.01
 
 
 def test_record_errors_take_no_more_memory_than_a_valid_load(tmp_path):
-    # The record-error pass decodes and parses one stream and counts records.
-    # Holding the whole text and every record, it peaked at 3.6x the valid load.
+    # A failing load stops at its error in the one pass a valid load makes.  A
+    # second pass that held the whole text and every record to find the
+    # error's row peaked at 3.6x the valid load.
     path = tmp_path / "valid.csv"
     write_csv(baseline_table(20_000), path)
     data = path.read_bytes()
@@ -246,3 +266,42 @@ def test_record_errors_take_no_more_memory_than_a_valid_load(tmp_path):
 
         _, peak = traced_peak(failing_load)
         assert peak <= PASS_JITTER * valid_peak, error
+
+
+def test_a_load_reads_its_source_once_even_when_it_fails(tmp_path, monkeypatch):
+    # A bad byte or an oversized field in the last row of a multi-chunk file:
+    # the load reads up to the error once, and at most one block past it.
+    path = tmp_path / "valid.csv"
+    write_csv(baseline_table(20_000), path)
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    opened = []
+
+    class CountingFile(io.FileIO):
+        delivered = 0
+
+        def read(self, size=-1):
+            data = super().read(size)
+            self.delivered += len(data)
+            return data
+
+        def readinto(self, buffer):
+            size = super().readinto(buffer)
+            self.delivered += size
+            return size
+
+    def counting_open(file, mode="r"):
+        assert mode == "rb"
+        opened.append(CountingFile(file, "r"))
+        return opened[-1]
+
+    monkeypatch.setattr(dataset, "open", counting_open, raising=False)
+    bad = tmp_path / "bad.csv"
+    for insert, error in ((b"\xff", "text is not valid UTF-8"),
+                          (OVERSIZED.encode(), r"field larger than field limit \(131072\)")):
+        bad.write_bytes(data[:last] + insert + data[last:])
+        opened.clear()
+        with pytest.raises(DataFormatError, match=f"^row 20000: {error}$"):
+            load_table(bad)
+        assert len(opened) == 1
+        assert opened[0].delivered <= bad.stat().st_size + io.DEFAULT_BUFFER_SIZE, error

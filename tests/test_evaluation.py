@@ -12,13 +12,17 @@ from perfex import (
     ClassSet,
     MetricSpec,
     MissingScoresError,
+    PerfexError,
     PredictionTable,
     SchemaMismatchError,
     StoppingRule,
+    TreeFormatError,
     assign,
     build_tree,
+    deserialize_tree,
     evaluate_tree,
     parse_metric,
+    serialize_tree,
 )
 from perfex.dataset import stratified_split
 from perfex.metrics import evaluate_indices
@@ -199,6 +203,19 @@ def test_both_tables_are_routed_before_the_metric_is_resolved():
         evaluate_tree(tree, ece, t, other)
     with pytest.raises(MissingScoresError):
         evaluate_tree(tree, ece, t, t)
+
+
+def test_a_tree_metric_naming_a_class_the_tables_lack_is_a_tree_format_error():
+    t, tree = fig_tree()
+    doc = json.loads(serialize_tree(tree))
+    doc["metric"] = "precision:zz"  # hand-edited: the tables have classes a and b
+    edited = deserialize_tree(json.dumps(doc))
+    with pytest.raises(TreeFormatError, match="^metric references unknown class 'zz'$"):
+        evaluate_tree(edited, None, t, t)
+    # A metric the caller passes is the caller's error, as in MetricStats.
+    with pytest.raises(ValueError, match="^metric references unknown class 'zz'$") as info:
+        evaluate_tree(tree, MetricSpec.precision("zz"), t, t)
+    assert not isinstance(info.value, PerfexError)
 
 
 # sha256 of the evaluate_tree report JSON on a stratified 50/50 split (seed 0)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from perfex import (
     EmptyTableError,
     MetricSpec,
+    PerfexError,
     SchemaMismatchError,
     SearchConfig,
     SplitCandidate,
@@ -24,15 +27,19 @@ from perfex import (
     best_split,
     build_tree,
     deserialize_tree,
+    evaluate_tree,
     min_samples,
     parse_metric,
     serialize_tree,
+    summarize_path,
+    write_csv,
 )
 from perfex.dataset import ClassSet, Feature, FeatureSchema, PredictionTable
 from perfex.metrics import KINDS, MetricStats, evaluate_indices
 from perfex.tree import Internal, Leaf
 
 from tests._naive import all_metric_descs, naive_grow, random_plain_table
+from tests._subprocess import child_env
 from tests._tables import (
     baseline_table,
     desc_to_spec,
@@ -483,6 +490,137 @@ def test_deserialize_rejects_deeply_nested_tree():
     root += (',"right":' + leaf + "}") * depth
     with pytest.raises(TreeFormatError, match="nested too deeply"):
         deserialize_tree(json.dumps(doc).replace('"ROOT"', root))
+
+
+def hostile_table():
+    """60 rows with a numeric, a binary and a categorical feature, three
+    classes and scores; a depth-3 accuracy tree splits on all three."""
+    rng = np.random.default_rng(3)
+    n, labels = 60, ("a", "b", "c")
+    x = rng.normal(size=n).round(3)
+    flag = rng.integers(0, 2, n)
+    color = rng.choice(["red", "green", "blue"], n)
+    y = rng.choice(labels, n)
+    correct = (color == "red") | ((flag == 1) & (x > 0))
+    pred = np.where(correct, y, np.where(y == "a", "b", "a"))
+    scores = np.full((n, 3), 0.1)
+    scores[np.arange(n), [labels.index(p) for p in pred]] = 0.8
+    columns = [x.tolist(), flag.astype(float).tolist(), color.tolist()]
+    return make_table("nbc", columns, y.tolist(), pred.tolist(), scores, classes=labels)
+
+
+HOSTILE_TABLE = hostile_table()
+HOSTILE_TREE = serialize_tree(build_tree(HOSTILE_TABLE, ACC, replace(LOOSE, max_depth=3), alpha=1))
+HOSTILE_VALUES = (None, True, -1, 1e308, 10**400, float("nan"), float("inf"), "x", [], {},
+                  "purple", "red", "eq", "le", 0.5)
+METRIC_NAMES = ("precision:zz", "mean_min_score:a,zz", "recall:c", "ece:10", "weighted_f1",
+                "ece:1000000000", "nope")
+# Past the JSON parser's nesting limit, and past the tree reader's.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+DEEP_LEAF = '{"leaf":{"id":0,"size":1,"value":0.5,"support":1}}'
+DEEP_TREE = ('{"feature":0,"kind":"le","value":0.0,"left":' * 3000 + DEEP_LEAF
+             + (',"right":' + DEEP_LEAF + "}") * 3000)
+
+
+def json_slots(node, path=()):
+    """The path to every value inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from json_slots(value, path + (key,))
+
+
+@st.composite
+def hostile_tree_texts(draw):
+    """HOSTILE_TREE with one to three edits: a key deleted, a value replaced,
+    the metric renamed, a split's feature out of range, or a value nested
+    past a reader's limit."""
+    doc = json.loads(HOSTILE_TREE)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(json_slots(doc))
+        edit = draw(st.sampled_from(["delete", "value", "metric", "feature", "deep"]))
+        if edit == "metric":
+            doc["metric"] = draw(st.sampled_from(METRIC_NAMES))
+            continue
+        if edit == "feature":
+            slots = [p for p in slots if p[-1] == "feature"] or slots
+        *where, key = draw(st.sampled_from(slots))
+        parent = doc
+        for step in where:
+            parent = parent[step]
+        if edit == "delete":
+            del parent[key]
+        elif edit == "feature":
+            parent[key] = draw(st.sampled_from([3, 99, -1]))
+        elif edit == "deep":
+            parent[key] = draw(st.sampled_from(["<DEEP JSON>", "<DEEP TREE>"]))
+        else:
+            parent[key] = draw(st.sampled_from(HOSTILE_VALUES))
+    text = json.dumps(doc)
+    return text.replace('"<DEEP JSON>"', DEEP_JSON).replace('"<DEEP TREE>"', DEEP_TREE)
+
+
+def use_tree(text, table):
+    """Read tree JSON and make the four calls that use a tree on ``table``."""
+    tree = deserialize_tree(text)
+    for stats in tree.leaf_stats():
+        summarize_path(stats, table.schema)
+    assign(tree, table)
+    evaluate_tree(tree, None, table, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_tree_texts())
+def test_hostile_tree_json_fails_only_with_a_perfex_error(text):
+    try:
+        use_tree(text, HOSTILE_TABLE)
+    except PerfexError:
+        pass
+
+
+def edited(**changes):
+    doc = json.loads(HOSTILE_TREE)
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+HOSTILE_DOCS = {
+    "unknown-class-in-metric": edited(metric="precision:zz"),
+    "unknown-metric": edited(metric="nope"),
+    "no-root": json.dumps({k: v for k, v in json.loads(HOSTILE_TREE).items() if k != "root"}),
+    "null-stopping": edited(stopping=None),
+    "string-version": edited(format_version="1"),
+    "feature-out-of-range": HOSTILE_TREE.replace('"feature":1', '"feature":99'),
+    "unknown-category": HOSTILE_TREE.replace('"value":"red"', '"value":"purple"'),
+    "nan-threshold": HOSTILE_TREE.replace('"value":-0.053', '"value":NaN'),
+    "huge-int-leaf-value": HOSTILE_TREE.replace('"value":1.0}', '"value":1' + "0" * 400 + "}", 1),
+    "deep-json": edited(root="<DEEP>").replace('"<DEEP>"', DEEP_JSON),
+    "deep-tree": edited(root="<DEEP>").replace('"<DEEP>"', DEEP_TREE),
+}
+
+
+def test_the_hostile_tree_is_usable_and_each_fixed_edit_applies():
+    use_tree(HOSTILE_TREE, HOSTILE_TABLE)
+    assert all(text != HOSTILE_TREE for text in HOSTILE_DOCS.values())
+
+
+@pytest.mark.parametrize("text", HOSTILE_DOCS.values(), ids=HOSTILE_DOCS.keys())
+def test_evaluate_reports_a_hostile_tree_in_one_line(tmp_path, text):
+    write_csv(HOSTILE_TABLE, tmp_path / "t.csv")
+    (tmp_path / "bad.json").write_text(text)
+    p = subprocess.run(
+        [sys.executable, "-m", "perfex", "evaluate", "--tree", "bad.json", "--build", "t.csv",
+         "--test", "t.csv"],
+        cwd=tmp_path, env=child_env(), capture_output=True,
+    )
+    assert p.returncode == 1
+    assert p.stderr.startswith(b"perfex evaluate: ") and p.stderr.count(b"\n") == 1, p.stderr
+    assert b"Traceback" not in p.stderr
 
 
 def test_leaf_stats_paths_in_leaf_id_order():
