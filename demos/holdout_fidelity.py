@@ -35,7 +35,7 @@ def main():
             classifier, generate_two_gaussian(delta, N_PER_CLASS, seed=200)
         )
         tree = build_tree(build, MetricSpec.accuracy(), StoppingRule(), alpha=100)
-        report = evaluate_tree(tree, None, build, test)
+        report = evaluate_tree(tree, build, test)
         print(
             f"{delta:10.0f}  {tree.n_leaves:6d}  {report.spread:12.3f}"
             f"  {report.mae:11.4f}"

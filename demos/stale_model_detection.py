@@ -42,7 +42,7 @@ def main():
         )
         build = predict_table(classifier, drifted)
         tree = build_tree(build, MetricSpec.accuracy(), StoppingRule(), alpha=100)
-        report = evaluate_tree(tree, None, build, reference)
+        report = evaluate_tree(tree, build, reference)
         acc = sum(
             leaf.metric.value * leaf.size for leaf in tree.leaves()
         ) / build.n

@@ -1,13 +1,15 @@
 """Command line entry points: ``fit``, ``evaluate``, ``generate``.
 
 Exit codes: 0 on success, 1 on module errors (bad data, bad tree file,
-I/O problems; diagnostic on stderr), 2 on argument errors.  All output
-files are written atomically.
+I/O problems, argument values the library rejects; diagnostic on stderr),
+2 on argument errors argparse finds.  All output files are written
+atomically.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -64,6 +66,16 @@ def _split_arg(text: str) -> tuple[float, ...]:
     if abs(total - 100.0) > 1e-9 and abs(total - 1.0) > 1e-9:
         raise argparse.ArgumentTypeError("split parts must sum to 100 (or 1.0)")
     return tuple(s / total for s in shares)
+
+
+@contextlib.contextmanager
+def _from_arguments():
+    """Report a ValueError of an object built from the arguments as a
+    PerfexError, so that ``main`` prints it in one line and exits 1."""
+    try:
+        yield
+    except ValueError as exc:
+        raise PerfexError(str(exc)) from None
 
 
 def _part_paths(out: Path, n_parts: int) -> list[Path]:
@@ -132,12 +144,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args) -> int:
-    stopping = StoppingRule(
-        max_depth=args.max_depth,
-        min_beta=args.min_beta,
-        confidence_z=args.z,
-        max_interval_width=args.interval_width,
-    )
+    with _from_arguments():
+        stopping = StoppingRule(
+            max_depth=args.max_depth,
+            min_beta=args.min_beta,
+            confidence_z=args.z,
+            max_interval_width=args.interval_width,
+        )
     table = load_table(args.data)
     if args.split is not None:
         parts = stratified_split(table, args.split, args.seed)
@@ -145,13 +158,14 @@ def _cmd_fit(args) -> int:
         out = Path(args.out)
         for i, part in enumerate(parts[1:], start=1):
             write_csv(part, out.with_name(f"{out.stem}_holdout{i}.csv"))
-    tree = build_tree(
-        table,
-        args.metric,
-        stopping,
-        alpha=args.alpha,
-        max_thresholds=args.max_thresholds,
-    )
+    with _from_arguments():
+        tree = build_tree(
+            table,
+            args.metric,
+            stopping,
+            alpha=args.alpha,
+            max_thresholds=args.max_thresholds,
+        )
     atomic_write_text(args.out, serialize_tree(tree))
 
     phrase = args.phrase if args.phrase is not None else default_phrase(args.metric)
@@ -188,10 +202,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    tree = MetaTree.from_json(Path(args.tree).read_text(encoding="utf-8"))
+    # Bytes, so that deserialize_tree reports a file that is not UTF-8.
+    tree = MetaTree.from_json(Path(args.tree).read_bytes())
     build = load_table(args.build)
-    test = load_table(args.test)
-    report = evaluate_tree(tree, None, build, test)
+    test = load_table(args.test, build.schema, build.classes)
+    report = evaluate_tree(tree, build, test)
     sys.stdout.write(report.to_text())
     if args.out:
         atomic_write_text(args.out, report.to_json())
@@ -200,29 +215,28 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_generate(args) -> int:
     seed = args.seed
-    if args.preset == "two-gaussian":
-        n = args.n if args.n is not None else 10000
-        data = generate_two_gaussian(args.delta, n, seed)
-        classifier = two_gaussian_classifier(args.delta)
-    elif args.preset == "blobs":
-        n = args.n if args.n is not None else 10000
-        data = generate_blobs(blob_specs(n), seed)
-        classifier = None  # trained below, on the right rows
-    else:
-        n = args.n if args.n is not None else 150
-        data, classifier = preset_example2d(seed, n_per_class=n)
+    with _from_arguments():
+        if args.preset == "two-gaussian":
+            n = args.n if args.n is not None else 10000
+            data = generate_two_gaussian(args.delta, n, seed)
+            classifier = two_gaussian_classifier(args.delta)
+        elif args.preset == "blobs":
+            n = args.n if args.n is not None else 10000
+            data = generate_blobs(blob_specs(n), seed)
+            classifier = CartClassifier(max_depth=args.cart_depth)  # fitted below
+        else:
+            n = args.n if args.n is not None else 150
+            data, classifier = preset_example2d(seed, n_per_class=n)
 
     out = Path(args.out)
     if args.split is None:
-        if classifier is None:
-            classifier = CartClassifier(max_depth=args.cart_depth).fit(data)
-        write_csv(predict_table(classifier, data), out)
-        return 0
-
-    parts = split_dataset(data, args.split, seed)
-    if classifier is None:
-        classifier = CartClassifier(max_depth=args.cart_depth).fit(parts[0])
-    for part, path in zip(parts, _part_paths(out, len(parts))):
+        parts, paths = [data], [out]
+    else:
+        parts = split_dataset(data, args.split, seed)
+        paths = _part_paths(out, len(parts))
+    if args.preset == "blobs":
+        classifier.fit(parts[0])  # on the first part only
+    for part, path in zip(parts, paths):
         write_csv(predict_table(classifier, part), path)
     return 0
 
@@ -233,7 +247,7 @@ def main(argv=None) -> int:
     handlers = {"fit": _cmd_fit, "evaluate": _cmd_evaluate, "generate": _cmd_generate}
     try:
         return handlers[args.command](args)
-    except (PerfexError, OSError, ValueError) as exc:
+    except (PerfexError, OSError) as exc:
         print(f"perfex {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,11 @@
 """Held-out evaluation of a meta tree: does the map still match the terrain?
 
-Both tables are routed through the tree once.  For every leaf the metric is
-recomputed on the rows each table sends there, all leaves of a table in one
-exact grouped evaluation (:meth:`MetricStats.exact`); the report carries the mean
-absolute difference between the two sides (over leaves where both are
-defined) and the spread of the build-side values (largest minus smallest).
+Both tables, which share the tree's schema and classes, are routed through
+the tree once.  For every leaf the tree's metric is recomputed on the rows
+each table sends there, all leaves of a table in one exact grouped evaluation
+(:meth:`MetricStats.exact`); the report carries the mean absolute difference
+of the two sides (over leaves where both are defined) and the spread of the
+build-side values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .dataset import PredictionTable
 from .errors import TreeFormatError
 # perfbench/launcher.py wraps perfex.evaluation.evaluate_indices by name.
-from .metrics import MetricSpec, MetricStats, MetricValue, evaluate_indices  # noqa: F401
+from .metrics import MetricStats, MetricValue, evaluate_indices  # noqa: F401
 from .tree import MetaTree, assign
 
 
@@ -92,29 +93,21 @@ class EvaluationReport:
 
 
 def evaluate_tree(
-    tree: MetaTree,
-    metric: MetricSpec | None,
-    build: PredictionTable,
-    test: PredictionTable,
+    tree: MetaTree, build: PredictionTable, test: PredictionTable
 ) -> EvaluationReport:
-    """Compare per-leaf metric values between two tables routed through ``tree``.
-
-    ``metric`` defaults to the metric the tree was built for; a tree metric
-    that names a class the tables lack raises TreeFormatError.  Leaves whose
-    test side is empty or undefined (or whose build side is) are excluded
-    from the mean and listed in ``undefined_leaves``; the spread is taken
-    over the defined build-side values.
+    """Compare per-leaf values of ``tree.metric`` on two tables routed through
+    ``tree`` (``dataclasses.replace(tree, metric=m)`` evaluates ``m``); a metric
+    the tables cannot resolve raises TreeFormatError.  Leaves whose build or
+    test side is empty or undefined are excluded from the mean and listed in
+    ``undefined_leaves``; the spread is taken over the defined build values.
     """
-    spec = metric or tree.metric
     n_leaves = tree.n_leaves  # leaf ids run 0..n_leaves-1, so a leaf id is a group
     sides = []
     # Both tables are routed before the metric is resolved against either.
     for table, group in [(build, assign(tree, build)), (test, assign(tree, test))]:
         try:
-            stat = MetricStats(spec, table)
+            stat = MetricStats(tree.metric, table)
         except ValueError as exc:
-            if metric is not None:  # the caller's metric, not the tree's
-                raise
             raise TreeFormatError(str(exc)) from None
         sides.append(np.bincount(group, minlength=n_leaves).tolist())
         sides.append(stat.exact(stat.stats(np.arange(table.n)), group, n_leaves))
@@ -126,4 +119,4 @@ def evaluate_tree(
     undefined = tuple(c.leaf_id for c in comparisons if c.abs_error is None)
     mae = math.fsum(errors) / len(errors) if errors else None
     spread = max(build_values) - min(build_values) if build_values else None
-    return EvaluationReport(spec.name, comparisons, mae, spread, undefined)
+    return EvaluationReport(tree.metric.name, comparisons, mae, spread, undefined)

@@ -123,13 +123,16 @@ def generate_blobs(specs, seed, feature_names=None) -> LabeledDataset:
     return LabeledDataset(np.vstack(blocks), y, tuple(feature_names), ClassSet(tuple(labels)))
 
 
-def generate_two_gaussian(
-    delta: float, n_per_class: int, seed, *, mu0: float = 10.0, sigma: float = 2.0
-) -> LabeledDataset:
-    """The bundled 1-D task: class 0 at ``mu0``, class 1 shifted by ``delta``."""
+# The bundled 1-D task's class-0 mean and the sigma of both classes.
+TWO_GAUSSIAN_MU0 = 10.0
+TWO_GAUSSIAN_SIGMA = 2.0
+
+
+def generate_two_gaussian(delta: float, n_per_class: int, seed) -> LabeledDataset:
+    """The bundled 1-D task: class 0 at TWO_GAUSSIAN_MU0, class 1 ``delta`` above."""
     specs = (
-        GaussianSpec("0", (mu0,), sigma, n_per_class),
-        GaussianSpec("1", (mu0 + delta,), sigma, n_per_class),
+        GaussianSpec("0", (TWO_GAUSSIAN_MU0,), TWO_GAUSSIAN_SIGMA, n_per_class),
+        GaussianSpec("1", (TWO_GAUSSIAN_MU0 + delta,), TWO_GAUSSIAN_SIGMA, n_per_class),
     )
     return generate_blobs(specs, seed, feature_names=("z",))
 
@@ -341,13 +344,12 @@ def blob_specs(n_total: int = DEMO_BLOB_TOTAL) -> tuple[GaussianSpec, ...]:
     )
 
 
-def two_gaussian_classifier(
-    delta: float, *, mu0: float = 10.0, sigma: float = 2.0
-) -> GaussianDensityClassifier:
+def two_gaussian_classifier(delta: float) -> GaussianDensityClassifier:
     """The matched analytic classifier for :func:`generate_two_gaussian`."""
-    return GaussianDensityClassifier(
-        (("0", (mu0,), sigma), ("1", (mu0 + delta,), sigma))
-    )
+    return GaussianDensityClassifier((
+        ("0", (TWO_GAUSSIAN_MU0,), TWO_GAUSSIAN_SIGMA),
+        ("1", (TWO_GAUSSIAN_MU0 + delta,), TWO_GAUSSIAN_SIGMA),
+    ))
 
 
 EXAMPLE2D_FLIP_THRESHOLD = 12.0

@@ -177,7 +177,7 @@ class MetaTree:
         ]
 
     @classmethod
-    def from_json(cls, text: str) -> "MetaTree":
+    def from_json(cls, text: str | bytes) -> "MetaTree":
         return deserialize_tree(text)
 
 
@@ -358,7 +358,7 @@ def _node_from_doc(doc, ids, where: str) -> Node:
     return Internal(SplitCandidate(feature, kind, value), left, right)
 
 
-def deserialize_tree(text: str) -> MetaTree:
+def deserialize_tree(text: str | bytes) -> MetaTree:
     """Parse tree JSON back into a :class:`MetaTree`.
 
     Leaf ids are reassigned in depth-first pre-order, which reproduces the
@@ -367,7 +367,7 @@ def deserialize_tree(text: str) -> MetaTree:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
         raise TreeFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise TreeFormatError(TOO_DEEP) from None

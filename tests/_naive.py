@@ -246,11 +246,11 @@ def naive_grow(table, metric, stopping, alpha, max_thresholds=None):
 # -- held-out evaluation reference --------------------------------------------
 
 
-def naive_evaluate_tree(tree, metric, build, test):
+def naive_evaluate_tree(tree, build, test):
     """The report ``evaluate_tree`` should give, with one ``flatnonzero`` and
     one ``evaluate_indices`` per leaf and side (the per-leaf loop the grouped
-    evaluation replaced, kept verbatim)."""
-    metric = metric or tree.metric
+    evaluation replaced, kept verbatim but for the metric's source)."""
+    metric = tree.metric
     assigned_build = assign(tree, build)
     assigned_test = assign(tree, test)
 

@@ -124,7 +124,7 @@ def test_criterion_03_two_gaussian_fidelity():
             test = predict_table(clf, generate_two_gaussian(float(delta), 10000, 200 + s))
             tree = build_tree(build, ACC, StoppingRule(), alpha=100)
             record_faithfulness("c3", tree, build)
-            rep = evaluate_tree(tree, None, build, test)
+            rep = evaluate_tree(tree, build, test)
             assert rep.mae is not None
             vals.append(rep.mae)
         means[delta] = math.fsum(vals) / len(vals)
@@ -152,7 +152,7 @@ def test_criterion_04_distribution_shift_trend():
             test = predict_table(clf, generate_two_gaussian(3.0, 5000, 2000 + s))
             tree = build_tree(build, ACC, StoppingRule(), alpha=100)
             record_faithfulness("c4", tree, build)
-            rep = evaluate_tree(tree, None, build, test)
+            rep = evaluate_tree(tree, build, test)
             assert rep.mae is not None
             vals.append(rep.mae)
         means.append(math.fsum(vals) / len(vals))
@@ -171,7 +171,7 @@ def test_criterion_05_blobs_structure():
     t2 = predict_table(cart, test2)
     tree = build_tree(t1, ACC, LOOSE, alpha=100)
     record_faithfulness("c5", tree, t1)
-    rep = evaluate_tree(tree, None, t1, t2)
+    rep = evaluate_tree(tree, t1, t2)
     vals = [leaf.metric.value for leaf in tree.leaves()]
     ok = (
         max(vals) >= 0.95

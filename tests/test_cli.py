@@ -1,14 +1,25 @@
-"""End-to-end command line checks, run through ``python -m perfex``."""
+"""End-to-end command line checks, run through ``python -m perfex``, and
+in process through ``perfex.cli.main`` where a test runs many commands."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from statistics import NormalDist
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perfex import TreeFormatError, cli, deserialize_tree, write_csv
 
 from tests._subprocess import child_env
+from tests.test_csv_stream import CUT_SEQUENCES, csv_inputs
+from tests.test_tree import HOSTILE_TABLE, HOSTILE_TREE, hostile_tree_texts
 
 
 def run_cli(args, cwd, threads=None):
@@ -415,6 +426,164 @@ def test_writes_leave_no_temp_files(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == [
         "e.csv", "exp.json", "rep.json", "t.json"
     ]
+
+
+def write_rows(path, rows):
+    path.write_text("x,c,__true__,__pred__\n" + "".join(",".join(r) + "\n" for r in rows))
+
+
+def write_held_out_case(tmp_path):
+    """A build CSV with categories a/b/c of feature c and classes 0/1/2, and
+    a tree fitted on it that splits on c."""
+    rows = []
+    for i in range(600):
+        y = str(i % 3)
+        c = "abc"[i // 3 % 3]
+        pred = y if c == "a" or i % 5 else str((i + 1) % 3)
+        rows.append((f"{i % 37 / 4}", c, y, pred))
+    write_rows(tmp_path / "build.csv", rows)
+    p = run_cli(["fit", "--data", "build.csv", "--out", "tree.json", "--alpha", "20",
+                 "--min-beta", "0", "--interval-width", "1.0"], tmp_path)
+    assert p.returncode == 0, p.stderr
+    assert '"value":"a"' in (tmp_path / "tree.json").read_text()
+    return rows
+
+
+def evaluate_held_out(tmp_path, rows):
+    write_rows(tmp_path / "test.csv", rows)
+    return run_cli(["evaluate", "--tree", "tree.json", "--build", "build.csv",
+                    "--test", "test.csv"], tmp_path)
+
+
+@pytest.mark.parametrize("drop", ["category", "class"])
+def test_evaluate_reads_the_held_out_table_with_the_build_schema(tmp_path, drop):
+    # Without category c of feature c, or without class 2 in a table that has
+    # no score columns, the held-out CSV alone infers another schema.
+    rows = write_held_out_case(tmp_path)
+    if drop == "category":
+        rows = [r for r in rows if r[1] != "c"]
+    else:
+        rows = [r for r in rows if "2" not in r[2:]]
+    p = evaluate_held_out(tmp_path, rows)
+    assert p.returncode == 0, p.stderr
+    assert p.stderr == b""
+    assert p.stdout.decode().splitlines()[0].split()[:3] == ["leaf", "n_build", "n_test"]
+    n_test = [int(line.split()[2]) for line in p.stdout.decode().splitlines()[1:-2]]
+    assert sum(n_test) == len(rows)
+
+
+def test_evaluate_names_the_row_of_a_category_the_build_table_lacks(tmp_path):
+    rows = write_held_out_case(tmp_path)[:100]
+    rows[50] = (rows[50][0], "zz", *rows[50][2:])
+    p = evaluate_held_out(tmp_path, rows)
+    assert p.returncode == 1
+    assert p.stderr.decode() == "perfex evaluate: row 51: value 'zz' is not a category of 'c'\n"
+
+
+def run_main(args):
+    """``cli.main(args)`` in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_or_success(command, code, err):
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith(f"perfex {command}: ") and err.count("\n") == 1, err
+
+
+def test_evaluate_reports_a_tree_file_that_is_not_utf8(tmp_path):
+    write_csv(HOSTILE_TABLE, tmp_path / "t.csv")
+    text = HOSTILE_TREE.encode("utf-8")
+    (tmp_path / "bad.json").write_bytes(text[:20] + b"\xff" + text[20:])
+    with pytest.raises(TreeFormatError, match="^not valid JSON: 'utf-8' codec can't decode"):
+        deserialize_tree((tmp_path / "bad.json").read_bytes())
+    code, _, err = run_main(["evaluate", "--tree", str(tmp_path / "bad.json"),
+                             "--build", str(tmp_path / "t.csv"), "--test", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert err == ("perfex evaluate: not valid JSON: 'utf-8' codec can't decode byte 0xff "
+                   "in position 20: invalid start byte\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fit", "--max-depth", "0"], "max_depth must be at least 1"),
+    (["fit", "--alpha", "0"], "alpha must be at least 1"),
+    (["fit", "--alpha", "4"], "table has 3 rows, fewer than alpha=4"),
+    (["fit", "--alpha", "1", "--max-thresholds", "0"], "max_thresholds must be at least 1 (or None)"),
+    (["fit", "--interval-width", "0"], "interval_width must be in (0, 1], got 0.0"),
+    (["fit", "--alpha", "1", "--metric", "precision:zz"],
+     "metric references unknown class 'zz'"),
+    (["generate", "--preset", "two-gaussian", "--n", "0"], "count must be at least 1"),
+    (["generate", "--preset", "blobs", "--n", "2"], "count must be at least 1"),
+    (["generate", "--preset", "blobs", "--cart-depth", "0"], "max_depth must be at least 1"),
+])
+def test_an_argument_the_library_rejects_exits_one_with_its_message(tmp_path, args, message):
+    (tmp_path / "t.csv").write_text("x,__true__,__pred__\n1,a,a\n2,b,b\n3,a,b\n")
+    files = {"fit": ["--data", str(tmp_path / "t.csv")], "generate": []}[args[0]]
+    code, _, err = run_main(args + files + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err == f"perfex {args[0]}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_value_error_inside_a_command_is_not_caught(tmp_path, monkeypatch):
+    # Only the objects built from the arguments turn a ValueError into exit
+    # 1; any other is a bug and must show its traceback.
+    (tmp_path / "t.csv").write_text("x,__true__,__pred__\n1,a,a\n2,b,b\n3,a,b\n")
+
+    def render(*args, **kwargs):
+        raise ValueError("a bug in render")
+
+    monkeypatch.setattr(cli, "render", render)
+    with pytest.raises(ValueError, match="^a bug in render$"):
+        run_main(["fit", "--data", str(tmp_path / "t.csv"), "--out", str(tmp_path / "t.json"),
+                  "--alpha", "1"])
+
+
+@st.composite
+def tree_files(draw):
+    """Hostile tree JSON as bytes, some with a byte that is not UTF-8 in it."""
+    data = draw(hostile_tree_texts()).encode("utf-8")
+    insert = draw(st.sampled_from([None, b"\xff", b"\x80", *CUT_SEQUENCES]))
+    if insert is not None:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + insert + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_inputs())
+def test_main_reports_any_bad_csv_in_one_line(case):
+    data = case[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "d.csv").write_bytes(data)
+        write_csv(HOSTILE_TABLE, tmp / "t.csv")
+        (tmp / "t.json").write_text(HOSTILE_TREE)
+        d, t, fitted = str(tmp / "d.csv"), str(tmp / "t.csv"), str(tmp / "fit.json")
+        code, _, err = run_main(["fit", "--data", d, "--out", fitted, "--alpha", "1",
+                                 "--interval-width", "1.0"])
+        assert_one_line_or_success("fit", code, err)
+        runs = [["--tree", str(tmp / "t.json"), "--build", t, "--test", d]]
+        if code == 0:
+            runs.append(["--tree", fitted, "--build", d, "--test", d])
+        for args in runs:
+            code, _, err = run_main(["evaluate", *args])
+            assert_one_line_or_success("evaluate", code, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_files())
+def test_main_reports_any_bad_tree_file_in_one_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "bad.json").write_bytes(data)
+        write_csv(HOSTILE_TABLE, tmp / "t.csv")
+        code, _, err = run_main(["evaluate", "--tree", str(tmp / "bad.json"),
+                                 "--build", str(tmp / "t.csv"), "--test", str(tmp / "t.csv")])
+        assert_one_line_or_success("evaluate", code, err)
 
 
 @pytest.mark.skipif(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from perfex import (
     ClassSet,
     MetricSpec,
     MissingScoresError,
-    PerfexError,
     PredictionTable,
     SchemaMismatchError,
     StoppingRule,
@@ -47,7 +47,7 @@ def fig_tree():
 
 def test_same_table_gives_zero_mae():
     t, tree = fig_tree()
-    rep = evaluate_tree(tree, None, t, t)
+    rep = evaluate_tree(tree, t, t)
     assert rep.mae == 0.0
     assert rep.metric == "accuracy"
     assert rep.spread == 0.4  # leaf values 0.4 and 0.8, exactly
@@ -65,7 +65,7 @@ def test_hand_computed_mae_and_spread():
         t.schema, t.classes, [z[:3] + [0.5, 0.7] + z[5:]], ["a"] * 9,
         [("a" if v else "b") for v in ok],
     )
-    rep = evaluate_tree(tree, None, t, test)
+    rep = evaluate_tree(tree, t, test)
     left, right = rep.leaves
     assert left.size_test == 3 and right.size_test == 6
     assert left.e_test.value == pytest.approx(2 / 3, abs=1e-15)
@@ -81,7 +81,7 @@ def test_empty_test_side_is_excluded_from_mae():
     test = PredictionTable(
         t.schema, t.classes, [[0.0, 1.0, 2.0]], ["a"] * 3, ["a", "a", "b"]
     )
-    rep = evaluate_tree(tree, None, t, test)
+    rep = evaluate_tree(tree, t, test)
     assert rep.undefined_leaves == (0,)
     left, right = rep.leaves
     assert left.size_test == 0 and left.e_test.value is None
@@ -93,7 +93,7 @@ def test_empty_test_side_is_excluded_from_mae():
 def test_all_leaves_undefined_gives_none_mae():
     t, tree = fig_tree()
     # y is never b, so recall:b is undefined on every leaf and both sides.
-    rep = evaluate_tree(tree, MetricSpec.recall("b"), t, t)
+    rep = evaluate_tree(replace(tree, metric=MetricSpec.recall("b")), t, t)
     assert rep.mae is None
     assert rep.spread is None
     assert rep.undefined_leaves == (0, 1)
@@ -101,15 +101,15 @@ def test_all_leaves_undefined_gives_none_mae():
 
 def test_metric_defaults_to_tree_metric():
     t, tree = fig_tree()
-    rep = evaluate_tree(tree, None, t, t)
+    rep = evaluate_tree(tree, t, t)
     assert rep.metric == tree.metric.name
-    other = evaluate_tree(tree, MetricSpec.weighted("recall"), t, t)
+    other = evaluate_tree(replace(tree, metric=MetricSpec.weighted("recall")), t, t)
     assert other.metric == "weighted_recall"
 
 
 def test_report_json_round_trips():
     t, tree = fig_tree()
-    rep = evaluate_tree(tree, None, t, t)
+    rep = evaluate_tree(tree, t, t)
     text = rep.to_json()
     assert text.endswith("\n")
     doc = json.loads(text)
@@ -128,7 +128,7 @@ def test_report_json_round_trips():
 
 def test_report_text_layout():
     t, tree = fig_tree()
-    rep = evaluate_tree(tree, None, t, t)
+    rep = evaluate_tree(tree, t, t)
     text = rep.to_text()
     lines = text.splitlines()
     assert lines[0].split() == ["leaf", "n_build", "n_test", "e_build", "e_test", "abs_err"]
@@ -139,7 +139,7 @@ def test_report_text_layout():
 
 def test_report_text_marks_undefined_with_dash():
     t, tree = fig_tree()
-    rep = evaluate_tree(tree, MetricSpec.recall("b"), t, t)
+    rep = evaluate_tree(replace(tree, metric=MetricSpec.recall("b")), t, t)
     text = rep.to_text()
     assert "mae: -" in text
     assert text.splitlines()[1].split()[-1] == "-"
@@ -156,7 +156,7 @@ def test_mae_agrees_with_per_leaf_recomputation():
         test = build.subset(np.sort(perm[: max(5, build.n // 2)]))
         rule = StoppingRule(max_depth=3, min_beta=0.0, confidence_z=1.0, max_interval_width=1.0)
         tree = build_tree(build, ACC, rule, alpha=5)
-        rep = evaluate_tree(tree, None, build, test)
+        rep = evaluate_tree(tree, build, test)
         errs = [c.abs_error for c in rep.leaves if c.abs_error is not None]
         if errs:
             assert rep.mae == pytest.approx(sum(errs) / len(errs), abs=1e-15)
@@ -187,9 +187,9 @@ def test_report_equals_one_evaluation_per_leaf_and_side(seed, name, other):
     keep = (assign(tree, build) != 0) & (rng.random(build.n) < 0.6)
     test = build.subset(np.flatnonzero(keep))
     descs = all_metric_descs(plain["classes"])
-    for spec in (None, desc_to_spec(descs[other % len(descs)])):
-        got = evaluate_tree(tree, spec, build, test)
-        want = naive_evaluate_tree(tree, spec, build, test)
+    for evaluated in (tree, replace(tree, metric=desc_to_spec(descs[other % len(descs)]))):
+        got = evaluate_tree(evaluated, build, test)
+        want = naive_evaluate_tree(evaluated, build, test)
         assert got.to_json() == want.to_json()
         assert got.to_text() == want.to_text()
         assert got.leaves[0].size_test == 0
@@ -197,12 +197,12 @@ def test_report_equals_one_evaluation_per_leaf_and_side(seed, name, other):
 
 def test_both_tables_are_routed_before_the_metric_is_resolved():
     t, tree = fig_tree()  # no score columns
-    ece = MetricSpec.ece(10)
+    ece = replace(tree, metric=MetricSpec.ece(10))
     other = make_table("n", [[1.0, 2.0]], ["a", "b"], ["a", "b"])  # feature named f0
     with pytest.raises(SchemaMismatchError):
-        evaluate_tree(tree, ece, t, other)
+        evaluate_tree(ece, t, other)
     with pytest.raises(MissingScoresError):
-        evaluate_tree(tree, ece, t, t)
+        evaluate_tree(ece, t, t)
 
 
 def test_a_tree_metric_naming_a_class_the_tables_lack_is_a_tree_format_error():
@@ -211,11 +211,7 @@ def test_a_tree_metric_naming_a_class_the_tables_lack_is_a_tree_format_error():
     doc["metric"] = "precision:zz"  # hand-edited: the tables have classes a and b
     edited = deserialize_tree(json.dumps(doc))
     with pytest.raises(TreeFormatError, match="^metric references unknown class 'zz'$"):
-        evaluate_tree(edited, None, t, t)
-    # A metric the caller passes is the caller's error, as in MetricStats.
-    with pytest.raises(ValueError, match="^metric references unknown class 'zz'$") as info:
-        evaluate_tree(tree, MetricSpec.precision("zz"), t, t)
-    assert not isinstance(info.value, PerfexError)
+        evaluate_tree(edited, t, t)
 
 
 # sha256 of the evaluate_tree report JSON on a stratified 50/50 split (seed 0)
@@ -238,5 +234,5 @@ GOLDEN_REPORTS = {
 def test_golden_reports_on_the_benchmark_table():
     build, test = stratified_split(baseline_table(20_000), (0.5, 0.5), 0)
     for name, digest in GOLDEN_REPORTS.items():
-        report = evaluate_tree(build_tree(build, parse_metric(name)), None, build, test)
+        report = evaluate_tree(build_tree(build, parse_metric(name)), build, test)
         assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest, name

@@ -571,7 +571,7 @@ def use_tree(text, table):
     for stats in tree.leaf_stats():
         summarize_path(stats, table.schema)
     assign(tree, table)
-    evaluate_tree(tree, None, table, table)
+    evaluate_tree(tree, table, table)
 
 
 @settings(max_examples=300, deadline=None)
