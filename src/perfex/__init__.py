@@ -43,17 +43,14 @@ from .metrics import evaluate as evaluate_metric
 from .splitter import (
     SearchConfig,
     SplitCandidate,
-    SplitResult,
     best_split,
 )
 from .synth import (
-    AxisThresholdClassifier,
     CartClassifier,
     GaussianDensityClassifier,
     GaussianSpec,
     LabeledDataset,
     blob_specs,
-    flip_labels,
     generate_blobs,
     generate_two_gaussian,
     predict_table,
@@ -75,7 +72,6 @@ from .tree import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisThresholdClassifier",
     "BINARY",
     "CATEGORICAL",
     "CartClassifier",
@@ -101,7 +97,6 @@ __all__ = [
     "SchemaMismatchError",
     "SearchConfig",
     "SplitCandidate",
-    "SplitResult",
     "StoppingRule",
     "SubsetView",
     "TreeFormatError",
@@ -115,7 +110,6 @@ __all__ = [
     "deserialize_tree",
     "evaluate_metric",
     "evaluate_tree",
-    "flip_labels",
     "generate_blobs",
     "generate_two_gaussian",
     "leaf_row_mask",

@@ -227,15 +227,14 @@ def _cmd_generate(args) -> int:
         else:
             n = args.n if args.n is not None else 150
             data, classifier = preset_example2d(seed, n_per_class=n)
-
-    out = Path(args.out)
-    if args.split is None:
-        parts, paths = [data], [out]
-    else:
-        parts = split_dataset(data, args.split, seed)
-        paths = _part_paths(out, len(parts))
-    if args.preset == "blobs":
-        classifier.fit(parts[0])  # on the first part only
+        out = Path(args.out)
+        if args.split is None:
+            parts, paths = [data], [out]
+        else:
+            parts = split_dataset(data, args.split, seed)
+            paths = _part_paths(out, len(parts))
+        if args.preset == "blobs":
+            classifier.fit(parts[0])  # on the first part only, before any part is written
     for part, path in zip(parts, paths):
         write_csv(predict_table(classifier, part), path)
     return 0

@@ -11,8 +11,9 @@ CSV layout
 Tables round-trip through a fixed CSV layout: one header row, the feature
 columns in schema order, then ``__true__`` and ``__pred__`` holding class
 labels, then optionally one ``__score_<class>`` column per class, in class-set
-order.  Files are UTF-8 with ``.`` as the decimal separator.  Missing cells
-are rejected at load time; there is no imputation.
+order.  Files are UTF-8 with ``.`` as the decimal separator; a pass over a
+file decodes each byte once and drops one leading byte-order mark.  Missing
+cells are rejected at load time; there is no imputation.
 
 Loads and writes stream in chunks of ``_CHUNK_ROWS`` records, so peak memory
 stays near the size of the finished arrays.  A load reads the source once,
@@ -386,33 +387,30 @@ def _first_bad_cell(cells, first_row: int, column: str) -> DataFormatError:
     raise AssertionError("the chunk has no bad cell")
 
 
-class _Utf8Prefix(io.RawIOBase):
-    """Binary ``handle`` up to and including its first byte that is not valid
-    UTF-8, so that a decode with errors="replace" ends in one stand-in
-    character there; ``bad`` tells whether that byte has been read.  A
-    multi-byte sequence cut at the end of a block waits for the next."""
-
-    def __init__(self, handle):
-        self.handle, self.held, self.bad = handle, b"", False
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = b""
-        while not (data or self.bad):
-            block = self.handle.read(len(buffer) - len(self.held))
-            data, self.held = self.held + block, b""
-            if not data.isascii():
-                try:
-                    size = codecs.utf_8_decode(data, "strict", not block)[1]
-                except UnicodeDecodeError as exc:
-                    size, self.bad = exc.start + 1, True
-                data, self.held = data[:size], data[size:]
-            if not block:
-                break
-        buffer[: len(data)] = data
-        return len(data)
+def _lines(handle, invalid: list):
+    """Binary ``handle`` as lines of text split as ``newline=""`` splits them,
+    each byte decoded once, less one leading byte-order mark.  The text ends
+    at the first invalid UTF-8 byte, in U+FFFD, and ``invalid`` gets an entry."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    held, block, first = [""], True, True
+    while block:
+        block = handle.read(io.DEFAULT_BUFFER_SIZE)
+        try:
+            text = decode(block, not block)
+        except UnicodeDecodeError as exc:
+            text, block = exc.object[: exc.start].decode("utf-8") + "\ufffd", b""
+            invalid.append(exc)
+        if first:
+            text, first = text.removeprefix("\ufeff"), False
+        if block and "\n" not in text and "\r" not in text and not held[-1].endswith("\r"):
+            held.append(text)
+            continue
+        head = "".join(held)  # an unfinished line: only its last "\r" may pair with a "\n"
+        lines = io.StringIO(head[-1:] + text, newline="").readlines()
+        if head:
+            lines[0] = head[:-1] + lines[0]
+        held = [lines.pop()] if block and not lines[-1].endswith("\n") else [""]
+        yield from lines
 
 
 def _read_header(header: list[str], classes: ClassSet | None):
@@ -447,17 +445,16 @@ def _read_header(header: list[str], classes: ClassSet | None):
 
 
 def _read(handle, schema, classes, categorical: set[int], scores_are_probabilities):
-    """One pass over the CSV records of binary ``handle``, chunk by chunk,
-    straight into typed columns.  Returns the table, or the inferred feature
-    columns found to hold text only after their first chunk: the caller reads
-    again with those in ``categorical``.
+    """One pass over the CSV records of binary ``handle``, decoded once by
+    :func:`_lines`, chunk by chunk, straight into typed columns.  Returns the
+    table, or the inferred feature columns found to hold text only after
+    their first chunk: the caller reads again with those in ``categorical``.
 
     The pass ends at the first byte that is not valid UTF-8.  A record the
     ``csv`` module rejects raises at once; any other error waits for the end
     of the pass, where invalid UTF-8 comes first, then the header."""
-    source = _Utf8Prefix(handle)
-    text = io.TextIOWrapper(io.BufferedReader(source), "utf-8", "replace", newline="")
-    records = csv.reader(text)
+    invalid: list = []
+    records = csv.reader(_lines(handle, invalid))
     try:
         header = next(records, None)
     except csv.Error as exc:
@@ -517,7 +514,7 @@ def _read(handle, schema, classes, categorical: set[int], scores_are_probabiliti
                 return late
         n += len(chunk)
 
-    if source.bad:
+    if invalid:
         raise DataFormatError(f"{'text' if n else 'header'} is not valid UTF-8", row=n or None)
     if header_error is not None:
         raise header_error
@@ -578,11 +575,12 @@ def load_table(
 ) -> PredictionTable:
     """Load a prediction table from CSV.
 
-    The file is read once, as a text stream, ``_CHUNK_ROWS`` records at a
-    time; each chunk goes straight into typed arrays, so peak memory stays
-    near the size of the finished table.  A column whose kind is inferred
-    and that turns out to hold text only after its first chunk makes the
-    load read the source again, with that column categorical.
+    The file is read once, ``_CHUNK_ROWS`` records at a time, decoding each
+    byte once as UTF-8; one leading byte-order mark is dropped.  Each chunk
+    goes straight into typed arrays, so peak memory stays near the size of
+    the finished table.  A column whose kind is inferred and that turns out
+    to hold text only after its first chunk makes the load read the source
+    again, with that column categorical.
 
     Parameters
     ----------

@@ -235,6 +235,8 @@ class CartClassifier:
         self._root = None
 
     def fit(self, dataset: LabeledDataset) -> "CartClassifier":
+        if dataset.n == 0:
+            raise ValueError("training data has no rows")
         self.class_labels = dataset.classes.labels
         k = dataset.classes.k
         X = dataset.features

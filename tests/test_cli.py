@@ -1,6 +1,7 @@
 """End-to-end command line checks, run through ``python -m perfex``, and
 in process through ``perfex.cli.main`` where a test runs many commands."""
 
+import codecs
 import contextlib
 import io
 import json
@@ -540,6 +541,36 @@ def test_a_value_error_inside_a_command_is_not_caught(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="^a bug in render$"):
         run_main(["fit", "--data", str(tmp_path / "t.csv"), "--out", str(tmp_path / "t.json"),
                   "--alpha", "1"])
+
+
+@pytest.mark.parametrize("n, split", [("3", "50/25/25"), ("6", "10/90")])
+def test_generate_blobs_with_an_empty_training_part_writes_nothing(tmp_path, n, split):
+    out = str(tmp_path / "d.csv")
+    code, _, err = run_main(["generate", "--preset", "blobs", "--n", n, "--split", split,
+                             "--out", out])
+    assert code == 1
+    assert err == "perfex generate: training data has no rows\n"
+    assert list(tmp_path.iterdir()) == []
+
+    # Six rows leave three for training, which is enough.
+    code, _, err = run_main(["generate", "--preset", "blobs", "--n", "6", "--split", "50/25/25",
+                             "--out", out])
+    assert (code, err) == (0, "")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d_test1.csv", "d_test2.csv",
+                                                          "d_train.csv"]
+
+
+def test_evaluate_reads_a_held_out_csv_with_a_byte_order_mark(tmp_path):
+    # Spreadsheet programs save UTF-8 CSVs with a leading byte-order mark; the
+    # feature names still match the build table's.
+    rows = write_held_out_case(tmp_path)
+    write_rows(tmp_path / "test.csv", rows)
+    args = ["evaluate", "--tree", str(tmp_path / "tree.json"),
+            "--build", str(tmp_path / "build.csv"), "--test", str(tmp_path / "test.csv")]
+    expected = run_main(args)
+    assert expected[0] == 0
+    (tmp_path / "test.csv").write_bytes(codecs.BOM_UTF8 + (tmp_path / "test.csv").read_bytes())
+    assert run_main(args) == expected
 
 
 @st.composite

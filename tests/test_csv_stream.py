@@ -1,6 +1,7 @@
 """The streamed CSV layer against the whole-text loader it replaced, and its
 memory bound."""
 
+import codecs
 import csv
 import io
 import os
@@ -165,6 +166,70 @@ def test_multi_byte_characters_across_read_blocks_match_the_whole_text_loader():
     for case in (data, data[:near_end] + b"\xff" + data[near_end:],
                  data[:near_end] + b"\xe2\x82" + data[near_end:]):
         assert_same(outcome(load_table, case), outcome(naive_load_table, case))
+
+
+BLOCK = io.DEFAULT_BUFFER_SIZE
+HEADER = b"x,c,__true__,__pred__"
+
+
+def rows_ending_at(ends, term: bytes) -> bytes:
+    """CSV bytes whose rows end in ``term``; one row's terminator starts at
+    each offset of ``ends``, which a padded category cell puts there."""
+    data = HEADER + term
+    for i, end in enumerate(ends):
+        head, tail = b"%d," % i, b",a,b"
+        data += head + b"p" * (end - len(data) - len(head) - len(tail)) + tail + term
+    return data + b"9,q,b,a" + term
+
+
+@pytest.mark.parametrize("term", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1])
+def test_line_breaks_across_read_blocks_match_the_whole_text_loader(term, shift):
+    # At shift 0 the terminator starts on the last byte of a block, so a
+    # "\r\n" has its "\r" in one block and its "\n" in the next.  The row
+    # that ends in block 4 starts in block 2, so block 3 has no line break.
+    data = rows_ending_at([e * BLOCK - 1 + shift for e in (1, 2, 4)], term)
+    expected = naive_load_table(data)
+    assert expected.n == 4
+    assert_same(load_table(data), expected)
+
+
+@pytest.mark.parametrize("insert", [b"\xff", b"\xe2\x82"])
+@pytest.mark.parametrize("at", range(BLOCK - 3, BLOCK + 3))
+def test_a_bad_byte_in_a_quoted_two_line_field_near_a_block_end(insert, at):
+    # The bad bytes start at offset ``at``, right after the line break inside
+    # the quoted field.
+    head = HEADER + b'\n0,a,a,b\n1,"'
+    data = head + b"p" * (at - len(head) - 1) + b"\n" + insert + b'two",b,a\n2,c,b,a\n'
+    assert data.index(insert) == at
+    expected = outcome(naive_load_table, data)
+    assert str(expected) == "row 2: text is not valid UTF-8"
+    assert_same(outcome(load_table, data), expected)
+
+
+@pytest.mark.parametrize("cell", [b'"' + b"w\r\n" * (5 * BLOCK) + b'"', b"w" * (12 * BLOCK),
+                                  b"w" * (20 * BLOCK)])
+def test_a_record_longer_than_many_read_blocks_matches_the_whole_text_loader(cell):
+    # The 20-block cell is past the field limit: both loads name row 1.
+    data = HEADER + b"\n0," + cell + b",a,b\r\n1,v,b,a\n"
+    assert_same(outcome(load_table, data), outcome(naive_load_table, data))
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_column_name():
+    # Spreadsheet programs save UTF-8 CSVs with a leading byte-order mark.
+    data = HEADER + b"\n0.5,\xc3\xa9,a,b\n1,v,b,a\n"
+    expected = load_table(data)
+    for source in (codecs.BOM_UTF8 + data, io.BytesIO(codecs.BOM_UTF8 + data)):
+        assert_same(load_table(source), expected)
+    # Only one mark goes: a second is text.
+    twice = load_table(codecs.BOM_UTF8 * 2 + data)
+    assert twice.schema.names == ("\ufeffx", "c")
+    # A cut mark is invalid UTF-8, and a mark alone leaves an empty file.
+    for cut in (b"\xef", b"\xef\xbb"):
+        with pytest.raises(DataFormatError, match="^header is not valid UTF-8$"):
+            load_table(cut)
+    with pytest.raises(DataFormatError, match="^empty file: no header$"):
+        load_table(codecs.BOM_UTF8)
 
 
 def test_text_after_the_first_chunk_reads_the_column_again(tmp_path):

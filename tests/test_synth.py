@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from perfex import (
-    AxisThresholdClassifier,
     CartClassifier,
     ClassSet,
     GaussianDensityClassifier,
@@ -14,7 +13,6 @@ from perfex import (
     LabeledDataset,
     MetricSpec,
     blob_specs,
-    flip_labels,
     generate_blobs,
     generate_two_gaussian,
     predict_table,
@@ -23,6 +21,7 @@ from perfex import (
     two_gaussian_classifier,
 )
 from perfex.metrics import evaluate
+from perfex.synth import AxisThresholdClassifier, flip_labels
 
 from tests._naive import naive_cart
 from tests._tables import table_to_csv_text
@@ -165,6 +164,13 @@ def test_cart_requires_fit_before_scoring():
         CartClassifier().score_matrix(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         CartClassifier(max_depth=0)
+
+
+def test_cart_rejects_a_dataset_with_no_rows():
+    # Fitted on no rows, every leaf would hold 0/0 class frequencies.
+    empty = generate_blobs(blob_specs(30), seed=0).subset(np.empty(0, np.int64))
+    with pytest.raises(ValueError, match="^training data has no rows$"):
+        CartClassifier().fit(empty)
 
 
 def test_flip_labels_only_touches_rows_above_threshold():
