@@ -78,6 +78,14 @@ def _from_arguments():
         raise PerfexError(str(exc)) from None
 
 
+def _refuse_empty(sizes, paths) -> None:
+    """Raise, before any ``--split`` part is written, if one has no rows: a
+    CSV of a header alone is a table that ``fit`` and ``evaluate`` reject."""
+    for size, path in zip(sizes, paths):
+        if size == 0:
+            raise PerfexError(f"split part {path} would have no rows")
+
+
 def _part_paths(out: Path, n_parts: int) -> list[Path]:
     if n_parts == 3:
         tags = ["train", "test1", "test2"]
@@ -151,13 +159,12 @@ def _cmd_fit(args) -> int:
             confidence_z=args.z,
             max_interval_width=args.interval_width,
         )
-    table = load_table(args.data)
+    table, held_out = load_table(args.data), []
     if args.split is not None:
-        parts = stratified_split(table, args.split, args.seed)
-        table = parts[0]
-        out = Path(args.out)
-        for i, part in enumerate(parts[1:], start=1):
-            write_csv(part, out.with_name(f"{out.stem}_holdout{i}.csv"))
+        table, *held_out = stratified_split(table, args.split, args.seed)
+    out = Path(args.out)
+    paths = [out.with_name(f"{out.stem}_holdout{i}.csv") for i in range(1, len(held_out) + 1)]
+    _refuse_empty([part.n for part in held_out], paths)
     with _from_arguments():
         tree = build_tree(
             table,
@@ -166,6 +173,8 @@ def _cmd_fit(args) -> int:
             alpha=args.alpha,
             max_thresholds=args.max_thresholds,
         )
+    for part, path in zip(held_out, paths):  # after the build, so a failed one writes none
+        write_csv(part, path)
     atomic_write_text(args.out, serialize_tree(tree))
 
     phrase = args.phrase if args.phrase is not None else default_phrase(args.metric)
@@ -235,6 +244,7 @@ def _cmd_generate(args) -> int:
             paths = _part_paths(out, len(parts))
         if args.preset == "blobs":
             classifier.fit(parts[0])  # on the first part only, before any part is written
+    _refuse_empty([part.y.size for part in parts], paths)
     for part, path in zip(parts, paths):
         write_csv(predict_table(classifier, part), path)
     return 0

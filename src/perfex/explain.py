@@ -1,10 +1,11 @@
 """Readable explanations: merge a leaf's path into per-feature conditions.
 
 A root-to-leaf path may test the same feature several times; the summary
-keeps only the tightest bounds.  Numeric features end up with an exclusive
-lower bound (from right branches) and an inclusive upper bound (from left
-branches); binary features resolve to 0 or 1; categorical features are
-either pinned to one category or carry a set of excluded ones.
+keeps only the tightest bounds.  Numeric and binary features end up with an
+exclusive lower bound (from right branches) and an inclusive upper bound
+(from left branches), and a binary feature's bounds resolve to 0 or 1 when
+described; categorical features are either pinned to one category or carry
+a set of excluded ones.
 
 Filtering the build table with a leaf's summaries (at full float precision)
 reproduces exactly the rows that leaf holds; the rendered text merely rounds
@@ -13,7 +14,7 @@ the same numbers for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,14 +29,14 @@ NO_CONDITIONS_TEMPLATE = "(no conditions — all {unit_noun})"
 
 @dataclass(frozen=True)
 class ConditionSummary:
-    """Merged constraints a leaf places on one feature."""
+    """Merged constraints a leaf places on one feature: ``lower``/``upper`` for
+    numeric and binary features, ``equal`` or ``excluded`` for categorical ones."""
 
     feature: int
     name: str
     kind: str
     lower: Optional[float] = None  # exclusive
     upper: Optional[float] = None  # inclusive
-    value: Optional[int] = None  # binary resolution
     equal: Optional[str] = None
     excluded: tuple[str, ...] = ()
 
@@ -46,7 +47,7 @@ class ConditionSummary:
                 return f"{self.name} = {self.equal}"
             return ", ".join(f"{self.name} != {c}" for c in self.excluded)
         if self.kind == BINARY:
-            return f"{self.name} = {self.value}"
+            return f"{self.name} = {_resolve_binary(self)}"
         parts = []
         if self.lower is not None:
             parts.append(f"{self.name} > {_fmt(self.lower)}")
@@ -55,7 +56,8 @@ class ConditionSummary:
         return ", ".join(parts)
 
     def mask(self, table: PredictionTable) -> np.ndarray:
-        """Row mask for this condition at full precision."""
+        """Row mask for this condition at full precision; on a {0, 1} column a
+        binary feature's bounds select the rows of the value they resolve to."""
         col = table.column(self.feature)
         feat = table.schema.features[self.feature]
         if self.kind == CATEGORICAL:
@@ -65,8 +67,6 @@ class ConditionSummary:
             for c in self.excluded:
                 keep &= col != feat.categories.index(c)
             return keep
-        if self.kind == BINARY:
-            return col == float(self.value)
         keep = np.ones(table.n, dtype=bool)
         if self.lower is not None:
             keep &= col > self.lower
@@ -81,100 +81,64 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-@dataclass
-class _Bounds:
-    lower: Optional[float] = None
-    upper: Optional[float] = None
-    equal: Optional[str] = None
-    excluded: list[str] = field(default_factory=list)
-
-
 def summarize_path(stats: LeafStats, schema: FeatureSchema) -> list[ConditionSummary]:
     """Collapse a leaf's path into one summary per constrained feature.
 
-    Features appear in order of first use on the path.  A step that does not
-    fit ``schema`` raises :class:`TreeFormatError` naming the leaf, and a path
-    that denies itself (empty interval, pinned and excluded category)
-    :class:`PerfexError`; the builder makes neither, so this guards
-    hand-written trees.
+    Features appear in order of first use on the path.  Binary features keep
+    their bounds, as numeric ones do, and a binary bound that excludes no
+    value is dropped.  A step that does not fit ``schema`` raises
+    :class:`TreeFormatError` naming the leaf, and a path that denies itself
+    (empty interval, pinned and excluded category) :class:`PerfexError`; the
+    builder makes neither, so this guards hand-written trees.
     """
-    order: list[int] = []
-    bounds: dict[int, _Bounds] = {}
+    summaries: dict[int, ConditionSummary] = {}
     where = f"leaf {stats.leaf_id}"
     for step in stats.path:
         check_split(SplitCandidate(step.feature, step.kind, step.value), schema.features, where)
-        if step.feature not in bounds:
-            bounds[step.feature] = _Bounds()
-            order.append(step.feature)
-        b = bounds[step.feature]
+        feat = schema.features[step.feature]
+        s = summaries.get(step.feature) or ConditionSummary(step.feature, feat.name, feat.kind)
         if step.kind == "eq":
+            # Exclusions are kept until the return, so a later pin of one contradicts.
+            if (step.value in s.excluded) if step.is_left else (s.equal == step.value):
+                raise PerfexError(f"contradictory path: {step.value!r} both required and excluded")
             if step.is_left:
-                if step.value in b.excluded:
+                if s.equal not in (None, step.value):
                     raise PerfexError(
-                        f"contradictory path: {step.value!r} both required and excluded"
+                        f"contradictory path: pinned to {s.equal!r} and {step.value!r}"
                     )
-                if b.equal is not None and b.equal != step.value:
-                    raise PerfexError(
-                        f"contradictory path: pinned to {b.equal!r} and {step.value!r}"
-                    )
-                b.equal = step.value
-            else:
-                if b.equal is not None:
-                    if b.equal == step.value:
-                        raise PerfexError(
-                            f"contradictory path: {step.value!r} both required and excluded"
-                        )
-                    continue  # already pinned elsewhere; exclusion is redundant
-                if step.value not in b.excluded:
-                    b.excluded.append(step.value)
+                s = replace(s, equal=step.value)
+            elif s.equal is None and step.value not in s.excluded:
+                s = replace(s, excluded=s.excluded + (step.value,))
         else:
             v = float(step.value)
             if step.is_left:
-                b.upper = v if b.upper is None else min(b.upper, v)
+                s = replace(s, upper=v if s.upper is None else min(s.upper, v))
             else:
-                b.lower = v if b.lower is None else max(b.lower, v)
-            if b.lower is not None and b.upper is not None and b.lower >= b.upper:
+                s = replace(s, lower=v if s.lower is None else max(s.lower, v))
+            if s.lower is not None and s.upper is not None and s.lower >= s.upper:
                 raise PerfexError("contradictory path: empty numeric interval")
-
-    out = []
-    for j in order:
-        feat = schema.features[j]
-        b = bounds[j]
-        if feat.kind == CATEGORICAL:
-            out.append(
-                ConditionSummary(
-                    j,
-                    feat.name,
-                    CATEGORICAL,
-                    equal=b.equal,
-                    excluded=tuple(b.excluded) if b.equal is None else (),
-                )
-            )
-        elif feat.kind == BINARY:
-            resolved = _resolve_binary(b, feat.name)
-            if resolved is None:
-                continue  # vacuous bound, nothing to say
-            out.append(ConditionSummary(j, feat.name, BINARY, value=resolved))
-        else:
-            out.append(
-                ConditionSummary(j, feat.name, feat.kind, lower=b.lower, upper=b.upper)
-            )
-    return out
+        summaries[step.feature] = s
+    return [
+        replace(s, excluded=()) if s.equal is not None else s
+        for s in summaries.values()
+        if s.kind != BINARY or _resolve_binary(s) is not None
+    ]
 
 
-def _resolve_binary(b: _Bounds, name: str) -> Optional[int]:
-    low = b.lower is not None and 0.0 <= b.lower < 1.0
-    high = b.upper is not None and 0.0 <= b.upper < 1.0
+def _resolve_binary(s: ConditionSummary) -> Optional[int]:
+    """The value, 0 or 1, that binary summary ``s`` pins; None if it pins none."""
+    low = s.lower is not None and 0.0 <= s.lower < 1.0
+    high = s.upper is not None and 0.0 <= s.upper < 1.0
     if low and high:
-        raise PerfexError(f"contradictory path: binary feature {name!r} pinned both ways")
+        raise PerfexError(f"contradictory path: binary feature {s.name!r} pinned both ways")
     if high:
         return 0
     if low:
         return 1
-    if b.lower is not None and b.lower >= 1.0:
-        raise PerfexError(f"contradictory path: binary feature {name!r} above 1")
-    if b.upper is not None and b.upper < 0.0:
-        raise PerfexError(f"contradictory path: binary feature {name!r} below 0")
+    if s.lower is not None and s.lower >= 1.0:
+        raise PerfexError(f"contradictory path: binary feature {s.name!r} above 1")
+    if s.upper is not None and s.upper < 0.0:
+        raise PerfexError(f"contradictory path: binary feature {s.name!r} below 0")
     return None
 
 

@@ -552,12 +552,39 @@ def test_generate_blobs_with_an_empty_training_part_writes_nothing(tmp_path, n, 
     assert err == "perfex generate: training data has no rows\n"
     assert list(tmp_path.iterdir()) == []
 
-    # Six rows leave three for training, which is enough.
-    code, _, err = run_main(["generate", "--preset", "blobs", "--n", "6", "--split", "50/25/25",
+    # Twelve rows give parts of 6, 3 and 3 rows, which is enough.
+    code, _, err = run_main(["generate", "--preset", "blobs", "--n", "12", "--split", "50/25/25",
                              "--out", out])
     assert (code, err) == (0, "")
     assert sorted(f.name for f in tmp_path.iterdir()) == ["d_test1.csv", "d_test2.csv",
                                                           "d_train.csv"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["generate", "--preset", "blobs", "--n", "6", "--split", "50/25/25"],
+     "split part {out}/d_test2.csv would have no rows"),
+    (["generate", "--preset", "two-gaussian", "--n", "2", "--split", "50/25/25"],
+     "split part {out}/d_test2.csv would have no rows"),
+    (["generate", "--preset", "two-gaussian", "--n", "2", "--split", "10/90"],
+     "split part {out}/d_part1.csv would have no rows"),
+    (["fit", "--data", "{data}", "--alpha", "10", "--split", "99.99/0.01"],
+     "split part {out}/d_holdout1.csv would have no rows"),
+    (["fit", "--data", "{data}", "--alpha", "100000", "--split", "50/50"],
+     "table has 200 rows, fewer than alpha=100000"),
+], ids=["blobs-test2", "two-gaussian-test2", "two-gaussian-part1", "fit-holdout1", "fit-alpha"])
+def test_a_split_that_cannot_be_written_whole_writes_nothing(tmp_path, args, message):
+    # A part with no rows would be a CSV that fit and evaluate reject, and
+    # fit writes its held-out parts only once the tree is built.
+    data, out = tmp_path / "g.csv", tmp_path / "out"
+    assert run_main(["generate", "--preset", "two-gaussian", "--n", "200", "--seed", "5",
+                     "--out", str(data)])[0] == 0
+    out.mkdir()
+    name = {"fit": "d.json", "generate": "d.csv"}[args[0]]
+    args = [a.format(data=data) for a in args] + ["--out", str(out / name)]
+    code, _, err = run_main(args)
+    assert code == 1
+    assert err == f"perfex {args[0]}: {message.format(out=out)}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_evaluate_reads_a_held_out_csv_with_a_byte_order_mark(tmp_path):

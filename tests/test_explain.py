@@ -1,13 +1,19 @@
 """Path summaries and rendered explanation blocks."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfex import (
+    ClassSet,
     Feature,
     FeatureSchema,
     MetricSpec,
     PerfexError,
+    PredictionTable,
     StoppingRule,
     TreeFormatError,
     build_tree,
@@ -18,6 +24,7 @@ from perfex import (
 )
 from perfex.explain import NO_CONDITIONS_TEMPLATE
 from perfex.metrics import MetricValue
+from perfex.splitter import SplitCandidate
 from perfex.tree import LeafStats, PathStep
 
 from tests._naive import random_plain_table
@@ -129,6 +136,15 @@ def test_categorical_contradictions_raise():
         summarize_path(s, MIXED)
 
 
+def test_a_pin_of_a_category_excluded_before_another_pin_contradicts():
+    # The exclusion of red outlives the pin to blue, so pinning red is named as
+    # a required-and-excluded contradiction, not as a second pin.
+    s = stats([PathStep(2, "eq", "red", False), PathStep(2, "eq", "blue", True),
+               PathStep(2, "eq", "red", True)])
+    with pytest.raises(PerfexError, match=r"^contradictory path: 'red' both required and excluded$"):
+        summarize_path(s, MIXED)
+
+
 def test_empty_numeric_interval_raises():
     s = stats([PathStep(0, "le", 5.0, True), PathStep(0, "le", 7.0, False)])
     with pytest.raises(PerfexError):
@@ -166,6 +182,47 @@ def test_full_precision_masks_round_trip_the_leaf_rows():
             summaries = summarize_path(stats_, t.schema)
             mask = leaf_row_mask(summaries, t)
             assert np.array_equal(np.flatnonzero(mask), leaf.indices)
+
+
+# Every combination of a few lengths, both flag values and all colors.
+GRID = list(itertools.product([-2.0, -1.0, 0.0, 0.25, 0.5, 1.0, 2.5, 3.0], [0.0, 1.0],
+                              ["blue", "green", "red"]))
+GRID_TABLE = PredictionTable(MIXED, ClassSet(("a", "b")), [list(c) for c in zip(*GRID)],
+                             ["a"] * len(GRID), ["a"] * len(GRID))
+GRID_STEPS = st.one_of(
+    st.builds(PathStep, st.just(0), st.just("le"),
+              st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0, 2.5]), st.booleans()),
+    st.builds(PathStep, st.just(1), st.just("le"),
+              st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5]), st.booleans()),
+    st.builds(PathStep, st.just(2), st.just("eq"),
+              st.sampled_from(["blue", "green", "red"]), st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(GRID_STEPS, max_size=6))
+def test_a_path_summarizes_to_exactly_the_rows_its_steps_select(path):
+    selected = np.ones(GRID_TABLE.n, dtype=bool)
+    for step in path:
+        feature = MIXED.features[step.feature]
+        left = SplitCandidate(step.feature, step.kind, step.value).left_mask(
+            GRID_TABLE.column(step.feature), feature
+        )
+        selected &= left if step.is_left else ~left
+    try:
+        out = summarize_path(stats(path), MIXED)
+    except PerfexError:
+        # Only a path that no value of its features can satisfy is refused.
+        assert not selected.any()
+        return
+    assert np.array_equal(leaf_row_mask(out, GRID_TABLE), selected)
+    # One summary per feature, in first-use order; only a binary bound that
+    # excludes no value is left out.
+    first_use = list(dict.fromkeys(step.feature for step in path))
+    features = [c.feature for c in out]
+    assert features == [f for f in first_use if f in features]
+    assert set(first_use) - set(features) <= {1}
+    assert all(c.describe() in ("flag = 0", "flag = 1") for c in out if c.kind == "binary")
 
 
 def test_two_decimal_rounding_in_text_only():
