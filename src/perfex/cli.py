@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from statistics import NormalDist
 
@@ -21,6 +22,7 @@ from .errors import PerfexError
 from .evaluation import evaluate_tree
 from .explain import default_phrase, render, summarize_path
 from .metrics import MetricSpec, parse_metric
+from .splitter import SearchConfig
 from .synth import (
     CartClassifier,
     blob_specs,
@@ -33,7 +35,6 @@ from .synth import (
 )
 from .tree import MetaTree, StoppingRule, build_tree, serialize_tree
 
-DEFAULT_Z = 1.96
 PRESETS = ("two-gaussian", "blobs", "example2d")
 
 
@@ -53,6 +54,22 @@ def _confidence_arg(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be between 0 and 1, exclusive, got {text!r}")
+
+
+def _seed_arg(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
+def _out_arg(text: str) -> str:
+    """A path whose last part names a file, so that part paths can be derived from it."""
+    if Path(text).name in ("", ".."):
+        raise argparse.ArgumentTypeError(f"must end in a file name, got {text!r}")
+    return text
 
 
 def _split_arg(text: str) -> tuple[float, ...]:
@@ -105,24 +122,27 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", required=True, help="prediction CSV to explain")
     fit.add_argument("--metric", type=_metric_arg, default=MetricSpec.accuracy(),
                      help="metric selection string (default: accuracy)")
-    fit.add_argument("--alpha", type=int, default=100,
-                     help="minimum rows per side of any split (default: 100)")
-    fit.add_argument("--max-depth", type=int, default=6)
-    fit.add_argument("--min-beta", type=float, default=0.05,
-                     help="smallest metric gap worth splitting on (default: 0.05)")
-    fit.add_argument("--confidence", type=_confidence_arg, default=DEFAULT_Z, dest="z",
-                     metavar="LEVEL", help="two-sided confidence level for the "
-                     "per-leaf interval rule (default: 0.95, i.e. z = 1.96)")
-    fit.add_argument("--interval-width", type=float, default=0.1,
-                     help="largest tolerated confidence interval width (default: 0.1)")
+    fit.add_argument("--alpha", type=int, default=SearchConfig.alpha,
+                     help="minimum rows per side of any split (default: %(default)s)")
+    fit.add_argument("--max-depth", type=int, default=StoppingRule.max_depth)
+    fit.add_argument("--min-beta", type=float, default=StoppingRule.min_beta,
+                     help="smallest metric gap worth splitting on (default: %(default)s)")
+    level = 2 * NormalDist().cdf(StoppingRule.confidence_z) - 1
+    fit.add_argument("--confidence", type=_confidence_arg, default=StoppingRule.confidence_z,
+                     dest="confidence_z", metavar="LEVEL", help="two-sided confidence level for "
+                     f"the per-leaf interval rule (default: {level:.2f}, i.e. z = %(default)s)")
+    fit.add_argument("--interval-width", type=float, default=StoppingRule.max_interval_width,
+                     dest="max_interval_width", metavar="INTERVAL_WIDTH",
+                     help="largest tolerated confidence interval width (default: %(default)s)")
     fit.add_argument("--max-thresholds", type=int, default=None,
                      help="cap on numeric thresholds per feature "
                           "(default: all values up to 256, then 255 quantiles)")
-    fit.add_argument("--out", required=True, help="where to write the tree JSON")
+    fit.add_argument("--out", type=_out_arg, required=True,
+                     help="where to write the tree JSON")
     fit.add_argument("--split", type=_split_arg, default=None,
                      help="stratified shares like 60/40: fit on the first part, "
                           "write the others next to --out")
-    fit.add_argument("--seed", type=int, default=0, help="seed for --split")
+    fit.add_argument("--seed", type=_seed_arg, default=0, help="seed for --split")
     fit.add_argument("--unit-noun", default="datapoints")
     fit.add_argument("--phrase", default=None,
                      help="wording for the metric in explanations")
@@ -137,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic prediction CSV")
     gen.add_argument("--preset", choices=PRESETS, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True)
+    gen.add_argument("--seed", type=_seed_arg, default=0)
+    gen.add_argument("--out", type=_out_arg, required=True)
     gen.add_argument("--delta", type=float, default=3.0,
                      help="two-gaussian class-mean shift (default: 3)")
     gen.add_argument("--n", type=int, default=None,
@@ -153,12 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fit(args) -> int:
     with _from_arguments():
-        stopping = StoppingRule(
-            max_depth=args.max_depth,
-            min_beta=args.min_beta,
-            confidence_z=args.z,
-            max_interval_width=args.interval_width,
-        )
+        stopping = StoppingRule(**{f.name: getattr(args, f.name) for f in fields(StoppingRule)})
     table, held_out = load_table(args.data), []
     if args.split is not None:
         table, *held_out = stratified_split(table, args.split, args.seed)

@@ -9,7 +9,8 @@ a set of excluded ones.
 
 Filtering the build table with a leaf's summaries (at full float precision)
 reproduces exactly the rows that leaf holds; the rendered text merely rounds
-the same numbers for display.
+the same numbers for display.  A summary's row mask routes rows with
+:meth:`SplitCandidate.left_mask`, the rule that growth and ``assign`` use.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import BINARY, CATEGORICAL, FeatureSchema, PredictionTable
+from .dataset import BINARY, FeatureSchema, PredictionTable
 from .errors import PerfexError
 from .splitter import SplitCandidate
 from .tree import LeafStats, check_split
 
 NO_CONDITIONS_TEMPLATE = "(no conditions — all {unit_noun})"
+_OPS = {("le", True): "<=", ("le", False): ">", ("eq", True): "=", ("eq", False): "!="}
 
 
 @dataclass(frozen=True)
@@ -40,38 +42,34 @@ class ConditionSummary:
     equal: Optional[str] = None
     excluded: tuple[str, ...] = ()
 
+    def _steps(self) -> list[tuple[SplitCandidate, bool]]:
+        """This summary as ``(split, goes_left)`` pairs, in print order."""
+        if self.equal is not None:
+            return [(SplitCandidate(self.feature, "eq", self.equal), True)]
+        steps = [(SplitCandidate(self.feature, "eq", c), False) for c in self.excluded]
+        for bound, goes_left in ((self.lower, False), (self.upper, True)):
+            if bound is not None:
+                steps.append((SplitCandidate(self.feature, "le", bound), goes_left))
+        return steps
+
     def describe(self) -> str:
         """This feature's conditions as text, joined with commas."""
-        if self.kind == CATEGORICAL:
-            if self.equal is not None:
-                return f"{self.name} = {self.equal}"
-            return ", ".join(f"{self.name} != {c}" for c in self.excluded)
         if self.kind == BINARY:
             return f"{self.name} = {_resolve_binary(self)}"
-        parts = []
-        if self.lower is not None:
-            parts.append(f"{self.name} > {_fmt(self.lower)}")
-        if self.upper is not None:
-            parts.append(f"{self.name} <= {_fmt(self.upper)}")
-        return ", ".join(parts)
+        return ", ".join(
+            f"{self.name} {_OPS[c.kind, left]} {_fmt(c.value) if c.kind == 'le' else c.value}"
+            for c, left in self._steps()
+        )
 
     def mask(self, table: PredictionTable) -> np.ndarray:
         """Row mask for this condition at full precision; on a {0, 1} column a
         binary feature's bounds select the rows of the value they resolve to."""
         col = table.column(self.feature)
         feat = table.schema.features[self.feature]
-        if self.kind == CATEGORICAL:
-            if self.equal is not None:
-                return col == feat.categories.index(self.equal)
-            keep = np.ones(table.n, dtype=bool)
-            for c in self.excluded:
-                keep &= col != feat.categories.index(c)
-            return keep
         keep = np.ones(table.n, dtype=bool)
-        if self.lower is not None:
-            keep &= col > self.lower
-        if self.upper is not None:
-            keep &= col <= self.upper
+        for c, goes_left in self._steps():
+            left = c.left_mask(col, feat)
+            keep &= left if goes_left else ~left
         return keep
 
 

@@ -9,6 +9,10 @@ The minimum per-side support comes from a binomial proportion confidence
 interval: a proportion estimate ``e`` on ``n`` rows has half-width
 ``z * sqrt(e(1-e)/n)``, and since ``e(1-e) <= 1/4`` a half-width of ``D/2``
 (total interval width ``D``) is guaranteed once ``n >= z^2 / D^2``.
+
+Growth, serialization and reading recurse once per level, so a build whose
+tree would pass depth ``_MAX_GROWTH_DEPTH`` stops with a :class:`PerfexError`
+instead of exhausting the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -25,6 +29,7 @@ import numpy as np
 from .dataset import ClassSet, FeatureSchema, PredictionTable
 from .errors import (
     EmptyTableError,
+    PerfexError,
     SchemaMismatchError,
     TreeFormatError,
     UndefinedMetricError,
@@ -35,6 +40,7 @@ from .splitter import SearchConfig, SplitCandidate, best_split, partition, preso
 
 FORMAT_VERSION = 1
 TOO_DEEP = "tree is nested too deeply"
+_MAX_GROWTH_DEPTH = 512
 
 
 class MinSamples(NamedTuple):
@@ -185,7 +191,7 @@ def build_tree(
     table: PredictionTable,
     metric: MetricSpec,
     stopping: StoppingRule | None = None,
-    alpha: int = 100,
+    alpha: int = SearchConfig.alpha,
     *,
     max_thresholds: int | None = None,
 ) -> MetaTree:
@@ -194,8 +200,8 @@ def build_tree(
     Growth is greedy and recursive: each node takes the feasible split with
     the largest metric gap, left side first.  Leaf ids are assigned in
     depth-first pre-order.  Raises :class:`UndefinedMetricError` when the
-    metric is undefined on the whole table and :class:`EmptyTableError` on
-    an empty one.
+    metric is undefined on the whole table, :class:`EmptyTableError` on an
+    empty one and :class:`PerfexError` when a split would pass ``_MAX_GROWTH_DEPTH``.
     """
     stopping = stopping or StoppingRule()
     if table.n == 0:
@@ -220,6 +226,9 @@ def build_tree(
         if depth < stopping.max_depth:
             found = best_split(view, metric, config)
             if found is not None and found.beta >= stopping.min_beta:
+                if depth >= _MAX_GROWTH_DEPTH:
+                    raise PerfexError(f"tree would grow past depth {depth}, the deepest tree "
+                                      f"perfex builds; set --max-depth to {depth} or less")
                 left, right = found.left, found.right
                 if depth + 1 < stopping.max_depth:  # the children are searched
                     left, right = partition(view, found)
@@ -304,12 +313,7 @@ def serialize_tree(tree: MetaTree) -> str:
         "format_version": FORMAT_VERSION,
         "metric": tree.metric.name,
         "alpha": tree.alpha,
-        "stopping": {
-            "max_depth": tree.stopping.max_depth,
-            "min_beta": tree.stopping.min_beta,
-            "confidence_z": tree.stopping.confidence_z,
-            "max_interval_width": tree.stopping.max_interval_width,
-        },
+        "stopping": asdict(tree.stopping),
         "schema_fingerprint": tree.schema_fingerprint,
         "n_build": tree.n_build,
         "root": _node_to_doc(tree.root),
@@ -385,10 +389,8 @@ def deserialize_tree(text: str | bytes) -> MetaTree:
     stop_doc = _need(doc, "stopping", dict, "document")
     try:
         stopping = StoppingRule(
-            max_depth=_need(stop_doc, "max_depth", int, "stopping"),
-            min_beta=_need(stop_doc, "min_beta", float, "stopping"),
-            confidence_z=_need(stop_doc, "confidence_z", float, "stopping"),
-            max_interval_width=_need(stop_doc, "max_interval_width", float, "stopping"),
+            **{f.name: _need(stop_doc, f.name, type(f.default), "stopping")
+               for f in fields(StoppingRule)}
         )
     except ValueError as exc:
         raise TreeFormatError(str(exc)) from None

@@ -9,14 +9,17 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfex import TreeFormatError, cli, deserialize_tree, write_csv
+import perfex.tree
+from perfex import StoppingRule, TreeFormatError, cli, deserialize_tree, write_csv
 
 from tests._subprocess import child_env
 from tests.test_csv_stream import CUT_SEQUENCES, csv_inputs
@@ -585,6 +588,76 @@ def test_a_split_that_cannot_be_written_whole_writes_nothing(tmp_path, args, mes
     assert code == 1
     assert err == f"perfex {args[0]}: {message.format(out=out)}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fit", "generate"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "must be a non-negative integer, got '-1'"),
+    ("--seed", "1.5", "must be a non-negative integer, got '1.5'"),
+    ("--out", "", "must end in a file name, got ''"),
+    ("--out", "/", "must end in a file name, got '/'"),
+    ("--out", "..", "must end in a file name, got '..'"),
+], ids=["seed-negative", "seed-float", "out-empty", "out-root", "out-parent"])
+def test_a_bad_seed_or_out_exits_two_naming_the_flag(tmp_path, monkeypatch, capsys, command,
+                                                     flag, value, message):
+    data = tmp_path / "g.csv"
+    assert run_main(["generate", "--preset", "two-gaussian", "--n", "100",
+                     "--out", str(data)])[0] == 0
+    monkeypatch.chdir(tmp_path)
+    args = {"fit": ["fit", "--data", str(data)], "generate": ["generate", "--preset", "blobs"]}
+    values = {"--seed": "0", "--out": "d.csv", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args[command] + ["--split", "50/50", "--seed", values["--seed"],
+                                  "--out", values["--out"]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: perfex {command} ")
+    assert err.endswith(f"perfex {command}: error: argument {flag}: {message}\n")
+    assert list(tmp_path.iterdir()) == [data]
+
+
+def deep_table(n):
+    """Rows ``x = 0..n-1`` whose predictions get worse with ``x``: with no
+    floor on support, every node finds another split, to any depth."""
+    rng = np.random.default_rng(0)
+    wrong = rng.random(n) >= 1 - np.arange(n) / (n - 1)
+    return "x,__true__,__pred__\n" + "".join(
+        f"{i},a,{'b' if w else 'a'}\n" for i, w in enumerate(wrong)
+    )
+
+
+def test_growth_past_the_depth_bound_exits_one_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(perfex.tree, "_MAX_GROWTH_DEPTH", 5)
+    (tmp_path / "deep.csv").write_text(deep_table(400))
+    out = tmp_path / "t.json"
+    args = ["fit", "--data", str(tmp_path / "deep.csv"), "--out", str(out), "--alpha", "1",
+            "--min-beta", "0", "--confidence", "0.68", "--interval-width", "1",
+            "--max-thresholds", "400"]
+    code, stdout, err = run_main(args + ["--max-depth", "100000"])
+    assert (code, stdout) == (1, "")
+    assert err == ("perfex fit: tree would grow past depth 5, the deepest tree perfex builds; "
+                   "set --max-depth to 5 or less\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "deep.csv"]
+    # The advice holds: at the bound itself the tree is written.
+    assert run_main(args + ["--max-depth", "5"])[0] == 0
+    assert deserialize_tree(out.read_text()).depth() == 5
+
+
+@pytest.mark.parametrize("flags, rule", [
+    ([], StoppingRule()),
+    (["--max-depth", "3"], StoppingRule(max_depth=3)),
+    (["--min-beta", "0.2"], StoppingRule(min_beta=0.2)),
+    (["--confidence", "0.9"], StoppingRule(confidence_z=NormalDist().inv_cdf(0.95))),
+    (["--interval-width", "0.5"], StoppingRule(max_interval_width=0.5)),
+], ids=["none", "max-depth", "min-beta", "confidence", "interval-width"])
+def test_fit_writes_the_stopping_rule_its_flags_name(tmp_path, flags, rule):
+    data, out = tmp_path / "g.csv", tmp_path / "t.json"
+    assert run_main(["generate", "--preset", "two-gaussian", "--n", "100",
+                     "--out", str(data)])[0] == 0
+    assert run_main(["fit", "--data", str(data), "--out", str(out)] + flags)[0] == 0
+    doc = json.loads(out.read_text())
+    assert doc["stopping"] == asdict(rule)
+    assert doc["alpha"] == 100
 
 
 def test_evaluate_reads_a_held_out_csv_with_a_byte_order_mark(tmp_path):

@@ -36,6 +36,7 @@ from perfex import (
 )
 from perfex.dataset import ClassSet, Feature, FeatureSchema, PredictionTable
 from perfex.metrics import KINDS, MetricStats, evaluate_indices
+from perfex import tree as tree_module
 from perfex.tree import Internal, Leaf
 
 from tests._naive import all_metric_descs, naive_grow, random_plain_table
@@ -490,6 +491,48 @@ def test_deserialize_rejects_deeply_nested_tree():
     root += (',"right":' + leaf + "}") * depth
     with pytest.raises(TreeFormatError, match="nested too deeply"):
         deserialize_tree(json.dumps(doc).replace('"ROOT"', root))
+
+
+def test_a_chain_tree_at_the_growth_bound_round_trips():
+    # Growth stops at _MAX_GROWTH_DEPTH, so a tree of that depth must also
+    # write and read back from inside a test runner's deeper stack.
+    t = worked_example_table()
+    built = build_tree(t, ACC, LOOSE, alpha=1)
+    value = built.root.left.metric
+    node = Leaf(0, 1, value)
+    for leaf_id in range(1, tree_module._MAX_GROWTH_DEPTH + 1):  # ids in pre-order
+        node = Internal(SplitCandidate(0, "le", 0.5), node, Leaf(leaf_id, 1, value))
+    chain = replace(built, root=node)
+    text = serialize_tree(chain)
+    back = deserialize_tree(text)
+    assert back.depth() == tree_module._MAX_GROWTH_DEPTH
+    assert serialize_tree(back) == text
+
+
+@st.composite
+def stopping_rules(draw):
+    """Valid :class:`StoppingRule` settings, the float fields drawn as floats."""
+    finite = {"allow_nan": False, "allow_infinity": False}
+    settings = {
+        "max_depth": draw(st.integers(1, 10**6)),
+        "min_beta": draw(st.floats(min_value=0.0, **finite)),
+        "confidence_z": draw(st.floats(min_value=0.0, exclude_min=True, **finite)),
+        "max_interval_width": draw(st.floats(0.0, 1.0, exclude_min=True)),
+    }
+    try:
+        return StoppingRule(**settings)
+    except ValueError:  # z^2 / D^2 too large to represent
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stopping_rules())
+def test_any_valid_stopping_rule_round_trips_byte_for_byte(rule):
+    tree = replace(build_tree(worked_example_table(), ACC, LOOSE, alpha=1), stopping=rule)
+    text = serialize_tree(tree)
+    back = deserialize_tree(text)
+    assert back.stopping == rule
+    assert serialize_tree(back) == text
 
 
 def hostile_table():
