@@ -3,13 +3,15 @@
 Exit codes: 0 on success, 1 on module errors (bad data, bad tree file,
 I/O problems, argument values the library rejects; diagnostic on stderr),
 2 on argument errors argparse finds.  All output files are written
-atomically.
+atomically, and before anything is printed; ``fit`` writes its tree file
+last, so a tree file on disk means every other file of that run was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import math
 import sys
 from dataclasses import fields
@@ -66,7 +68,7 @@ def _seed_arg(text: str) -> int:
 
 
 def _out_arg(text: str) -> str:
-    """A path whose last part names a file, so that part paths can be derived from it."""
+    """A path whose last part names a file, to write to or derive part paths from."""
     if Path(text).name in ("", ".."):
         raise argparse.ArgumentTypeError(f"must end in a file name, got {text!r}")
     return text
@@ -146,14 +148,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--unit-noun", default="datapoints")
     fit.add_argument("--phrase", default=None,
                      help="wording for the metric in explanations")
-    fit.add_argument("--explanations-out", default=None,
+    fit.add_argument("--explanations-out", type=_out_arg, default=None,
                      help="also write the explanations as JSON")
 
     ev = sub.add_parser("evaluate", help="compare per-leaf values on two tables")
     ev.add_argument("--tree", required=True)
     ev.add_argument("--build", required=True, help="reference table (tree side)")
     ev.add_argument("--test", required=True, help="held-out table")
-    ev.add_argument("--out", default=None, help="optional report JSON path")
+    ev.add_argument("--out", type=_out_arg, default=None, help="optional report JSON path")
 
     gen = sub.add_parser("generate", help="write a synthetic prediction CSV")
     gen.add_argument("--preset", choices=PRESETS, required=True)
@@ -188,10 +190,6 @@ def _cmd_fit(args) -> int:
             alpha=args.alpha,
             max_thresholds=args.max_thresholds,
         )
-    for part, path in zip(held_out, paths):  # after the build, so a failed one writes none
-        write_csv(part, path)
-    atomic_write_text(args.out, serialize_tree(tree))
-
     phrase = args.phrase if args.phrase is not None else default_phrase(args.metric)
     blocks = []
     docs = []
@@ -209,18 +207,19 @@ def _cmd_fit(args) -> int:
                 "value": stats.metric.value,
             }
         )
+    for part, path in zip(held_out, paths):  # after the build, so a failed one writes none
+        write_csv(part, path)
+    if args.explanations_out is not None:
+        atomic_write_text(
+            args.explanations_out,
+            json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n",
+        )
+    atomic_write_text(args.out, serialize_tree(tree))
     print("\n\n".join(blocks))
     if tree.n_leaves == 1:
         print(
             f"\nno split exceeded the minimum metric gap "
             f"(min-beta={args.min_beta}); the tree is a single leaf"
-        )
-    if args.explanations_out:
-        import json
-
-        atomic_write_text(
-            args.explanations_out,
-            json.dumps(docs, sort_keys=True, separators=(",", ":")) + "\n",
         )
     return 0
 
@@ -231,9 +230,9 @@ def _cmd_evaluate(args) -> int:
     build = load_table(args.build)
     test = load_table(args.test, build.schema, build.classes)
     report = evaluate_tree(tree, build, test)
-    sys.stdout.write(report.to_text())
-    if args.out:
+    if args.out is not None:
         atomic_write_text(args.out, report.to_json())
+    sys.stdout.write(report.to_text())
     return 0
 
 

@@ -91,31 +91,31 @@ def summarize_path(stats: LeafStats, schema: FeatureSchema) -> list[ConditionSum
     """
     summaries: dict[int, ConditionSummary] = {}
     where = f"leaf {stats.leaf_id}"
-    for step in stats.path:
-        check_split(SplitCandidate(step.feature, step.kind, step.value), schema.features, where)
-        feat = schema.features[step.feature]
-        s = summaries.get(step.feature) or ConditionSummary(step.feature, feat.name, feat.kind)
-        if step.kind == "eq":
+    for split, goes_left in stats.path:
+        check_split(split, schema.features, where)
+        feat = schema.features[split.feature]
+        s = summaries.get(split.feature) or ConditionSummary(split.feature, feat.name, feat.kind)
+        if split.kind == "eq":
             # Exclusions are kept until the return, so a later pin of one contradicts.
-            if (step.value in s.excluded) if step.is_left else (s.equal == step.value):
-                raise PerfexError(f"contradictory path: {step.value!r} both required and excluded")
-            if step.is_left:
-                if s.equal not in (None, step.value):
+            if (split.value in s.excluded) if goes_left else (s.equal == split.value):
+                raise PerfexError(f"contradictory path: {split.value!r} both required and excluded")
+            if goes_left:
+                if s.equal not in (None, split.value):
                     raise PerfexError(
-                        f"contradictory path: pinned to {s.equal!r} and {step.value!r}"
+                        f"contradictory path: pinned to {s.equal!r} and {split.value!r}"
                     )
-                s = replace(s, equal=step.value)
-            elif s.equal is None and step.value not in s.excluded:
-                s = replace(s, excluded=s.excluded + (step.value,))
+                s = replace(s, equal=split.value)
+            elif s.equal is None and split.value not in s.excluded:
+                s = replace(s, excluded=s.excluded + (split.value,))
         else:
-            v = float(step.value)
-            if step.is_left:
+            v = float(split.value)
+            if goes_left:
                 s = replace(s, upper=v if s.upper is None else min(s.upper, v))
             else:
                 s = replace(s, lower=v if s.lower is None else max(s.lower, v))
             if s.lower is not None and s.upper is not None and s.lower >= s.upper:
                 raise PerfexError("contradictory path: empty numeric interval")
-        summaries[step.feature] = s
+        summaries[split.feature] = s
     return [
         replace(s, excluded=()) if s.equal is not None else s
         for s in summaries.values()

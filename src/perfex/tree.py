@@ -3,7 +3,8 @@
 A node splits its rows on the condition found by the split search; growth
 stops at ``max_depth``, when no feasible split exists, or when the best gap
 falls below ``min_beta``.  Each leaf records its row count and the metric
-value on its rows.
+value on its rows.  A leaf's path is its ``(SplitCandidate, goes_left)``
+steps from the root, and the tree file keys each split by those fields.
 
 The minimum per-side support comes from a binomial proportion confidence
 interval: a proportion estimate ``e`` on ``n`` rows has half-width
@@ -113,21 +114,13 @@ Node = Union[Leaf, Internal]
 
 
 @dataclass(frozen=True)
-class PathStep:
-    """One edge on a root-to-leaf path; ``is_left`` tells which side was taken."""
-
-    feature: int
-    kind: str
-    value: float | str
-    is_left: bool
-
-
-@dataclass(frozen=True)
 class LeafStats:
+    """A leaf and its root-to-leaf path of ``(split, goes_left)`` steps."""
+
     leaf_id: int
     size: int
     metric: MetricValue
-    path: tuple[PathStep, ...]
+    path: tuple[tuple[SplitCandidate, bool], ...]
 
 
 def schema_fingerprint(schema: FeatureSchema, classes: ClassSet) -> str:
@@ -154,14 +147,13 @@ class MetaTree:
     def _walk(self):
         """Every node with its root-to-node path, in depth-first pre-order,
         so leaves come in leaf-id order."""
-        stack: list[tuple[Node, tuple[PathStep, ...]]] = [(self.root, ())]
+        stack: list[tuple[Node, tuple[tuple[SplitCandidate, bool], ...]]] = [(self.root, ())]
         while stack:
             node, path = stack.pop()
             yield node, path
             if isinstance(node, Internal):
-                c = node.candidate
-                stack.append((node.right, path + (PathStep(c.feature, c.kind, c.value, False),)))
-                stack.append((node.left, path + (PathStep(c.feature, c.kind, c.value, True),)))
+                stack.append((node.right, path + ((node.candidate, False),)))
+                stack.append((node.left, path + ((node.candidate, True),)))
 
     def leaves(self) -> list[Leaf]:
         return [node for node, _ in self._walk() if isinstance(node, Leaf)]
@@ -298,13 +290,8 @@ def _node_to_doc(node: Node) -> dict:
                 "support": node.metric.support,
             }
         }
-    return {
-        "feature": node.candidate.feature,
-        "kind": node.candidate.kind,
-        "value": node.candidate.value,
-        "left": _node_to_doc(node.left),
-        "right": _node_to_doc(node.right),
-    }
+    return {**asdict(node.candidate), "left": _node_to_doc(node.left),
+            "right": _node_to_doc(node.right)}
 
 
 def serialize_tree(tree: MetaTree) -> str:

@@ -21,6 +21,7 @@ from perfex import (
     GaussianSpec,
     MetricSpec,
     MissingScoresError,
+    SplitCandidate,
     StoppingRule,
     blob_specs,
     build_tree,
@@ -37,7 +38,7 @@ from perfex import (
     two_gaussian_classifier,
 )
 from perfex.metrics import MetricValue, evaluate, evaluate_indices
-from perfex.tree import Internal, Leaf, LeafStats, PathStep
+from perfex.tree import Internal, Leaf, LeafStats
 
 from tests._naive import (
     all_metric_descs,
@@ -310,7 +311,7 @@ def test_criterion_09_explanation_faithfulness():
 
     bad = [(tag, leaf) for tag, leaf, ok in FAITHFULNESS if not ok]
 
-    path = (PathStep(0, "le", 12.39, True), PathStep(0, "le", 10.77, False))
+    path = ((SplitCandidate(0, "le", 12.39), True), (SplitCandidate(0, "le", 10.77), False))
     stats = LeafStats(0, 134, MetricValue(0.6791044776119403, 134), path)
     schema = FeatureSchema((Feature("length", "numeric"),))
     block = render(stats, summarize_path(stats, schema))

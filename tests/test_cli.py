@@ -616,6 +616,51 @@ def test_a_bad_seed_or_out_exits_two_naming_the_flag(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == [data]
 
 
+def fit_and_evaluate(tmp_path):
+    """Write ``g.csv`` and its tree ``t.json`` to ``tmp_path``; the ``fit`` and
+    ``evaluate`` arguments that read them, run from ``tmp_path``."""
+    assert run_main(["generate", "--preset", "two-gaussian", "--n", "100",
+                     "--out", str(tmp_path / "g.csv")])[0] == 0
+    assert run_main(["fit", "--data", str(tmp_path / "g.csv"),
+                     "--out", str(tmp_path / "t.json")])[0] == 0
+    return {"fit": ["fit", "--data", "g.csv", "--split", "50/50", "--out", "d.json"],
+            "evaluate": ["evaluate", "--tree", "t.json", "--build", "g.csv", "--test", "g.csv"]}
+
+
+@pytest.mark.parametrize("command, flag", [("fit", "--explanations-out"), ("evaluate", "--out")])
+@pytest.mark.parametrize("value", ["", "/", ".."], ids=["empty", "root", "parent"])
+def test_an_output_path_with_no_file_name_exits_two_naming_the_flag(
+        tmp_path, monkeypatch, capsys, command, flag, value):
+    args = fit_and_evaluate(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args[command] + [flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: perfex {command} ")
+    assert err.endswith(f"perfex {command}: error: argument {flag}: "
+                        f"must end in a file name, got {value!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "t.json"]
+
+
+@pytest.mark.parametrize("command, flag, written", [
+    ("fit", "--explanations-out", ["d_holdout1.csv", "g.csv", "t.json"]),
+    ("evaluate", "--out", ["g.csv", "t.json"]),
+], ids=["fit", "evaluate"])
+def test_an_unwritable_output_exits_one_and_prints_nothing(tmp_path, monkeypatch, command, flag,
+                                                           written):
+    # Files are written before anything is printed, and fit's tree file last.
+    args = fit_and_evaluate(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(args[command] + [flag, "nodir/x.json"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"perfex {command}: ") and err.count("\n") == 1, err
+    assert "nodir/x.json" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+
+
 def deep_table(n):
     """Rows ``x = 0..n-1`` whose predictions get worse with ``x``: with no
     floor on support, every node finds another split, to any depth."""

@@ -25,7 +25,7 @@ from perfex import (
 from perfex.explain import NO_CONDITIONS_TEMPLATE
 from perfex.metrics import MetricValue
 from perfex.splitter import SplitCandidate
-from perfex.tree import LeafStats, PathStep
+from perfex.tree import LeafStats
 
 from tests._naive import random_plain_table
 from tests._tables import plain_to_table
@@ -40,12 +40,17 @@ MIXED = FeatureSchema(
 )
 
 
+def step(feature, kind, value, goes_left):
+    """One path step: a split and the side the path takes."""
+    return SplitCandidate(feature, kind, value), goes_left
+
+
 def stats(path, size=10, value=0.5):
     return LeafStats(0, size, MetricValue(value, size), tuple(path))
 
 
 def test_repeated_left_branches_keep_the_tightest_upper_bound():
-    s = stats([PathStep(0, "le", 12.0, True), PathStep(0, "le", 9.5, True)])
+    s = stats([step(0, "le", 12.0, True), step(0, "le", 9.5, True)])
     out = summarize_path(s, NUM)
     assert len(out) == 1
     assert out[0].upper == 9.5 and out[0].lower is None
@@ -53,22 +58,22 @@ def test_repeated_left_branches_keep_the_tightest_upper_bound():
 
 
 def test_interval_renders_lower_bound_first():
-    s = stats([PathStep(0, "le", 12.39, True), PathStep(0, "le", 10.77, False)])
+    s = stats([step(0, "le", 12.39, True), step(0, "le", 10.77, False)])
     out = summarize_path(s, NUM)
     assert out[0].describe() == "length > 10.77, length <= 12.39"
 
 
 def test_integer_thresholds_drop_decimals():
-    s = stats([PathStep(0, "le", 5.0, True)])
+    s = stats([step(0, "le", 5.0, True)])
     assert summarize_path(s, NUM)[0].describe() == "length <= 5"
-    s = stats([PathStep(0, "le", -3.0, False)])
+    s = stats([step(0, "le", -3.0, False)])
     assert summarize_path(s, NUM)[0].describe() == "length > -3"
 
 
 def test_the_reference_block_renders_byte_identically():
     path = (
-        PathStep(0, "le", 12.39, True),
-        PathStep(0, "le", 10.77, False),
+        step(0, "le", 12.39, True),
+        step(0, "le", 10.77, False),
     )
     s = LeafStats(0, 134, MetricValue(0.6791044776119403, 134), path)
     summaries = summarize_path(s, NUM)
@@ -90,48 +95,48 @@ def test_root_leaf_renders_placeholder_line():
 
 
 def test_custom_unit_noun_and_phrase():
-    s = LeafStats(0, 7, MetricValue(0.07, 7), (PathStep(0, "le", 2.0, True),))
+    s = LeafStats(0, 7, MetricValue(0.07, 7), (step(0, "le", 2.0, True),))
     got = render(s, summarize_path(s, NUM), unit_noun="trips", phrase="the recall of class b")
     assert got.startswith("There are 7 trips for which the")
     assert got.endswith("and for these trips the recall of class b is 0.07")
 
 
 def test_binary_feature_resolves_to_0_or_1():
-    s = stats([PathStep(1, "le", 0.0, True)])
+    s = stats([step(1, "le", 0.0, True)])
     assert summarize_path(s, MIXED)[0].describe() == "flag = 0"
-    s = stats([PathStep(1, "le", 0.0, False)])
+    s = stats([step(1, "le", 0.0, False)])
     assert summarize_path(s, MIXED)[0].describe() == "flag = 1"
     # A vacuous bound (everything <= 1) says nothing and is dropped.
-    s = stats([PathStep(1, "le", 1.0, True)])
+    s = stats([step(1, "le", 1.0, True)])
     assert summarize_path(s, MIXED) == []
 
 
 def test_binary_contradiction_raises():
-    s = stats([PathStep(1, "le", 0.0, True), PathStep(1, "le", 0.0, False)])
+    s = stats([step(1, "le", 0.0, True), step(1, "le", 0.0, False)])
     with pytest.raises(PerfexError):
         summarize_path(s, MIXED)
 
 
 def test_categorical_pin_and_exclusions():
-    s = stats([PathStep(2, "eq", "red", True)])
+    s = stats([step(2, "eq", "red", True)])
     assert summarize_path(s, MIXED)[0].describe() == "color = red"
-    s = stats([PathStep(2, "eq", "red", False), PathStep(2, "eq", "blue", False)])
+    s = stats([step(2, "eq", "red", False), step(2, "eq", "blue", False)])
     assert summarize_path(s, MIXED)[0].describe() == "color != red, color != blue"
     # Pinned later: earlier exclusions of other categories become redundant.
-    s = stats([PathStep(2, "eq", "red", False), PathStep(2, "eq", "blue", True)])
+    s = stats([step(2, "eq", "red", False), step(2, "eq", "blue", True)])
     out = summarize_path(s, MIXED)
     assert out[0].describe() == "color = blue"
     assert out[0].excluded == ()
 
 
 def test_categorical_contradictions_raise():
-    s = stats([PathStep(2, "eq", "red", True), PathStep(2, "eq", "red", False)])
+    s = stats([step(2, "eq", "red", True), step(2, "eq", "red", False)])
     with pytest.raises(PerfexError):
         summarize_path(s, MIXED)
-    s = stats([PathStep(2, "eq", "red", False), PathStep(2, "eq", "red", True)])
+    s = stats([step(2, "eq", "red", False), step(2, "eq", "red", True)])
     with pytest.raises(PerfexError):
         summarize_path(s, MIXED)
-    s = stats([PathStep(2, "eq", "red", True), PathStep(2, "eq", "blue", True)])
+    s = stats([step(2, "eq", "red", True), step(2, "eq", "blue", True)])
     with pytest.raises(PerfexError):
         summarize_path(s, MIXED)
 
@@ -139,18 +144,18 @@ def test_categorical_contradictions_raise():
 def test_a_pin_of_a_category_excluded_before_another_pin_contradicts():
     # The exclusion of red outlives the pin to blue, so pinning red is named as
     # a required-and-excluded contradiction, not as a second pin.
-    s = stats([PathStep(2, "eq", "red", False), PathStep(2, "eq", "blue", True),
-               PathStep(2, "eq", "red", True)])
+    s = stats([step(2, "eq", "red", False), step(2, "eq", "blue", True),
+               step(2, "eq", "red", True)])
     with pytest.raises(PerfexError, match=r"^contradictory path: 'red' both required and excluded$"):
         summarize_path(s, MIXED)
 
 
 def test_empty_numeric_interval_raises():
-    s = stats([PathStep(0, "le", 5.0, True), PathStep(0, "le", 7.0, False)])
+    s = stats([step(0, "le", 5.0, True), step(0, "le", 7.0, False)])
     with pytest.raises(PerfexError):
         summarize_path(s, NUM)
     # Equal bounds are empty too: > 5 and <= 5 has no rows.
-    s = stats([PathStep(0, "le", 5.0, True), PathStep(0, "le", 5.0, False)])
+    s = stats([step(0, "le", 5.0, True), step(0, "le", 5.0, False)])
     with pytest.raises(PerfexError):
         summarize_path(s, NUM)
 
@@ -158,9 +163,9 @@ def test_empty_numeric_interval_raises():
 def test_features_appear_in_first_use_order():
     s = stats(
         [
-            PathStep(2, "eq", "red", True),
-            PathStep(0, "le", 4.0, True),
-            PathStep(2, "eq", "red", True),
+            step(2, "eq", "red", True),
+            step(0, "le", 4.0, True),
+            step(2, "eq", "red", True),
         ]
     )
     out = summarize_path(s, MIXED)
@@ -190,11 +195,11 @@ GRID = list(itertools.product([-2.0, -1.0, 0.0, 0.25, 0.5, 1.0, 2.5, 3.0], [0.0,
 GRID_TABLE = PredictionTable(MIXED, ClassSet(("a", "b")), [list(c) for c in zip(*GRID)],
                              ["a"] * len(GRID), ["a"] * len(GRID))
 GRID_STEPS = st.one_of(
-    st.builds(PathStep, st.just(0), st.just("le"),
+    st.builds(step, st.just(0), st.just("le"),
               st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0, 2.5]), st.booleans()),
-    st.builds(PathStep, st.just(1), st.just("le"),
+    st.builds(step, st.just(1), st.just("le"),
               st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5]), st.booleans()),
-    st.builds(PathStep, st.just(2), st.just("eq"),
+    st.builds(step, st.just(2), st.just("eq"),
               st.sampled_from(["blue", "green", "red"]), st.booleans()),
 )
 
@@ -203,12 +208,9 @@ GRID_STEPS = st.one_of(
 @given(st.lists(GRID_STEPS, max_size=6))
 def test_a_path_summarizes_to_exactly_the_rows_its_steps_select(path):
     selected = np.ones(GRID_TABLE.n, dtype=bool)
-    for step in path:
-        feature = MIXED.features[step.feature]
-        left = SplitCandidate(step.feature, step.kind, step.value).left_mask(
-            GRID_TABLE.column(step.feature), feature
-        )
-        selected &= left if step.is_left else ~left
+    for split, goes_left in path:
+        left = split.left_mask(GRID_TABLE.column(split.feature), MIXED.features[split.feature])
+        selected &= left if goes_left else ~left
     try:
         out = summarize_path(stats(path), MIXED)
     except PerfexError:
@@ -218,7 +220,7 @@ def test_a_path_summarizes_to_exactly_the_rows_its_steps_select(path):
     assert np.array_equal(leaf_row_mask(out, GRID_TABLE), selected)
     # One summary per feature, in first-use order; only a binary bound that
     # excludes no value is left out.
-    first_use = list(dict.fromkeys(step.feature for step in path))
+    first_use = list(dict.fromkeys(split.feature for split, _ in path))
     features = [c.feature for c in out]
     assert features == [f for f in first_use if f in features]
     assert set(first_use) - set(features) <= {1}
@@ -226,7 +228,7 @@ def test_a_path_summarizes_to_exactly_the_rows_its_steps_select(path):
 
 
 def test_two_decimal_rounding_in_text_only():
-    s = stats([PathStep(0, "le", 12.3456789, True), PathStep(0, "le", 10.7654321, False)])
+    s = stats([step(0, "le", 12.3456789, True), step(0, "le", 10.7654321, False)])
     out = summarize_path(s, NUM)
     assert out[0].describe() == "length > 10.77, length <= 12.35"
     assert out[0].upper == 12.3456789  # the stored bound keeps full precision
@@ -245,32 +247,32 @@ def test_default_phrase_per_metric():
 XC = FeatureSchema((Feature("x", "numeric"), Feature("c", "categorical", ("a", "b"))))
 
 
-def misfit(step):
-    return LeafStats(3, 10, MetricValue(0.5, 10), (PathStep(0, "le", 1.0, True), step))
+def misfit(last):
+    return LeafStats(3, 10, MetricValue(0.5, 10), (step(0, "le", 1.0, True), last))
 
 
 def test_category_step_on_a_numeric_feature_is_named():
     with pytest.raises(
         TreeFormatError, match=r"^split kind 'eq' does not fit numeric feature 'x' in leaf 3$"
     ):
-        summarize_path(misfit(PathStep(0, "eq", "a", True)), XC)
+        summarize_path(misfit(step(0, "eq", "a", True)), XC)
 
 
 def test_threshold_step_on_a_categorical_feature_is_named():
     with pytest.raises(
         TreeFormatError, match=r"^split kind 'le' does not fit categorical feature 'c' in leaf 3$"
     ):
-        summarize_path(misfit(PathStep(1, "le", 0.5, False)), XC)
+        summarize_path(misfit(step(1, "le", 0.5, False)), XC)
 
 
 def test_step_on_an_unknown_category_is_named():
     with pytest.raises(TreeFormatError, match=r"^value 'zz' is not a category of 'c' in leaf 3$"):
-        summarize_path(misfit(PathStep(1, "eq", "zz", True)), XC)
+        summarize_path(misfit(step(1, "eq", "zz", True)), XC)
 
 
 def test_step_on_a_feature_out_of_range_is_named():
     with pytest.raises(TreeFormatError, match=r"^feature index 5 out of range in leaf 3$"):
-        summarize_path(misfit(PathStep(5, "le", 0.5, True)), XC)
+        summarize_path(misfit(step(5, "le", 0.5, True)), XC)
 
 
 def test_undefined_leaf_value_renders_na():

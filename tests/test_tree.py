@@ -671,10 +671,32 @@ def test_leaf_stats_paths_in_leaf_id_order():
     tree = build_tree(t, ACC, LOOSE, alpha=1)
     stats = tree.leaf_stats()
     assert [s.leaf_id for s in stats] == [0, 1]
-    assert stats[0].path[0].is_left is True
-    assert stats[1].path[0].is_left is False
-    assert stats[0].path[0].value == -1.0
+    assert stats[0].path[0][1] is True
+    assert stats[1].path[0][1] is False
+    assert stats[0].path[0][0].value == -1.0
     assert stats[0].size == 5 and stats[0].metric.value == 0.4
+
+
+def test_each_leaf_path_selects_the_rows_assign_sends_to_that_leaf():
+    # A path is the leaf's (split, goes_left) steps: ANDing each split's
+    # left_mask, or its negation, gives the leaf's rows, also after a round
+    # trip through the tree file, which leaves every path equal.
+    t, kinds = HOSTILE_TABLE, set()
+    for metric in (ACC, parse_metric("ece:10")):
+        built = build_tree(t, metric, replace(LOOSE, max_depth=3), alpha=1)
+        back = deserialize_tree(serialize_tree(built))
+        assert [s.path for s in back.leaf_stats()] == [s.path for s in built.leaf_stats()]
+        for tree in (built, back):
+            leaf_of = assign(tree, t)
+            for stats in tree.leaf_stats():
+                selected = np.ones(t.n, dtype=bool)
+                for split, goes_left in stats.path:
+                    feature = t.schema.features[split.feature]
+                    left = split.left_mask(t.column(split.feature), feature)
+                    selected &= left if goes_left else ~left
+                    kinds.add(feature.kind)
+                assert np.array_equal(selected, leaf_of == stats.leaf_id), metric.name
+    assert kinds == {"numeric", "binary", "categorical"}
 
 
 @st.composite
