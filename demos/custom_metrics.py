@@ -52,7 +52,7 @@ def main():
     )
     for metric in metrics:
         tree = build_tree(table, metric, STOPPING, alpha=150)
-        values = [leaf.metric.value for leaf in tree.leaves()]
+        values = [leaf.metric.value for leaf in tree.leaf_stats()]
         print()
         print(
             f"== {metric.name}: {tree.n_leaves} leaves,"

@@ -44,7 +44,7 @@ def main():
         tree = build_tree(build, MetricSpec.accuracy(), StoppingRule(), alpha=100)
         report = evaluate_tree(tree, build, reference)
         acc = sum(
-            leaf.metric.value * leaf.size for leaf in tree.leaves()
+            leaf.metric.value * leaf.size for leaf in tree.leaf_stats()
         ) / build.n
         print(f"{shift:5.0f}  {acc:14.3f}  {report.mae:11.4f}")
     print()

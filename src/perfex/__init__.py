@@ -47,7 +47,6 @@ from .splitter import (
 )
 from .synth import (
     CartClassifier,
-    GaussianDensityClassifier,
     GaussianSpec,
     LabeledDataset,
     blob_specs,
@@ -82,7 +81,6 @@ __all__ = [
     "EvaluationReport",
     "Feature",
     "FeatureSchema",
-    "GaussianDensityClassifier",
     "GaussianSpec",
     "LabeledDataset",
     "LeafComparison",

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -105,6 +106,19 @@ def _refuse_empty(sizes, paths) -> None:
             raise PerfexError(f"split part {path} would have no rows")
 
 
+def _refuse_same_file(inputs, outputs) -> None:
+    """Raise, before anything is read or written, if an output path names the
+    same file as an input or an earlier output.  Each is a ``(flag, path)``
+    pair; a ``None`` output is skipped.  Hard links are not detected."""
+    seen = {os.path.realpath(path): flag for flag, path in inputs}
+    for flag, path in outputs:
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise PerfexError(f"{flag} names the same file as {seen[real]}")
+            seen[real] = flag
+
+
 def _part_paths(out: Path, n_parts: int) -> list[Path]:
     if n_parts == 3:
         tags = ["train", "test1", "test2"]
@@ -174,13 +188,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args) -> int:
+    out = Path(args.out)
+    # One held-out part per --split share after the first.
+    paths = [out.with_name(f"{out.stem}_holdout{i}.csv") for i in range(1, len(args.split or ()))]
+    _refuse_same_file([("--data", args.data)], [("--out", args.out),
+                      *((f"split part {p}", p) for p in paths),
+                      ("--explanations-out", args.explanations_out)])
     with _from_arguments():
         stopping = StoppingRule(**{f.name: getattr(args, f.name) for f in fields(StoppingRule)})
     table, held_out = load_table(args.data), []
     if args.split is not None:
         table, *held_out = stratified_split(table, args.split, args.seed)
-    out = Path(args.out)
-    paths = [out.with_name(f"{out.stem}_holdout{i}.csv") for i in range(1, len(held_out) + 1)]
     _refuse_empty([part.n for part in held_out], paths)
     with _from_arguments():
         tree = build_tree(
@@ -225,6 +243,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _refuse_same_file([("--tree", args.tree), ("--build", args.build), ("--test", args.test)],
+                      [("--out", args.out)])
     # Bytes, so that deserialize_tree reports a file that is not UTF-8.
     tree = MetaTree.from_json(Path(args.tree).read_bytes())
     build = load_table(args.build)

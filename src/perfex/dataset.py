@@ -114,12 +114,6 @@ class ClassSet:
     def k(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
 
 class _Labels:
     """A column of labels or categories, gathered chunk by chunk as int32
@@ -247,8 +241,9 @@ class PredictionTable:
                 raise DataFormatError(
                     f"score matrix must have shape ({n}, {classes.k}), got {sc.shape}"
                 )
-            if not np.isfinite(sc).all():
-                raise DataFormatError("non-finite score value")
+            bad = ~np.isfinite(sc).all(axis=1)
+            if bad.any():
+                raise DataFormatError("non-finite score value", row=int(np.flatnonzero(bad)[0]) + 1)
             if ((sc < 0.0) | (sc > 1.0)).any():
                 bad_row = int(np.flatnonzero(((sc < 0.0) | (sc > 1.0)).any(axis=1))[0])
                 raise DataFormatError("score outside [0, 1]", row=bad_row + 1)

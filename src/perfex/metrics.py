@@ -205,11 +205,11 @@ class MetricStats:
         self.spec = spec
         self.table = table
         if spec.kind in _CLASS_KINDS:
-            codes = [table.classes.index(spec.class_label)]
+            codes = [table.classes.labels.index(spec.class_label)]
         elif spec.kind in _WEIGHTED_KINDS:
             codes = range(table.classes.k)
         else:
-            codes = [table.classes.index(lbl) for lbl in spec.class_subset]
+            codes = [table.classes.labels.index(lbl) for lbl in spec.class_subset]
         self._codes = np.array(codes, dtype=np.int64)
         k = self._codes.size
         self.n_counts = {ACCURACY: 1, ECE: 2 * spec.bins, MEAN_MIN_SCORE: 0}.get(spec.kind, 3 * k)

@@ -2,9 +2,10 @@
 
 A node splits its rows on the condition found by the split search; growth
 stops at ``max_depth``, when no feasible split exists, or when the best gap
-falls below ``min_beta``.  Each leaf records its row count and the metric
-value on its rows.  A leaf's path is its ``(SplitCandidate, goes_left)``
-steps from the root, and the tree file keys each split by those fields.
+falls below ``min_beta``.  A leaf records its row count and the metric value
+on its rows, not the rows (``assign`` routes them), so a built tree holds what
+its file holds.  A leaf's path is its ``(SplitCandidate, goes_left)`` steps
+from the root, and the tree file keys each split by those fields.
 
 The minimum per-side support comes from a binomial proportion confidence
 interval: a proportion estimate ``e`` on ``n`` rows has half-width
@@ -23,7 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -100,7 +101,6 @@ class Leaf:
     leaf_id: int
     size: int
     metric: MetricValue
-    indices: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,35 +144,26 @@ class MetaTree:
     schema_fingerprint: str
     n_build: int
 
-    def _walk(self):
-        """Every node with its root-to-node path, in depth-first pre-order,
-        so leaves come in leaf-id order."""
+    @property
+    def n_leaves(self) -> int:
+        return len(self.leaf_stats())
+
+    def depth(self) -> int:
+        return max(len(stats.path) for stats in self.leaf_stats())
+
+    def leaf_stats(self) -> list[LeafStats]:
+        """Each leaf with its root-to-leaf path, in depth-first pre-order,
+        which is leaf-id order."""
+        out = []
         stack: list[tuple[Node, tuple[tuple[SplitCandidate, bool], ...]]] = [(self.root, ())]
         while stack:
             node, path = stack.pop()
-            yield node, path
-            if isinstance(node, Internal):
+            if isinstance(node, Leaf):
+                out.append(LeafStats(node.leaf_id, node.size, node.metric, path))
+            else:
                 stack.append((node.right, path + ((node.candidate, False),)))
                 stack.append((node.left, path + ((node.candidate, True),)))
-
-    def leaves(self) -> list[Leaf]:
-        return [node for node, _ in self._walk() if isinstance(node, Leaf)]
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaves())
-
-    def depth(self) -> int:
-        return max(len(path) for _, path in self._walk())
-
-    def leaf_stats(self) -> list[LeafStats]:
-        """Per-leaf statistics with the root-to-leaf condition path, in
-        leaf-id order."""
-        return [
-            LeafStats(node.leaf_id, node.size, node.metric, path)
-            for node, path in self._walk()
-            if isinstance(node, Leaf)
-        ]
+        return out
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "MetaTree":
@@ -227,7 +218,7 @@ def build_tree(
                 left = grow(left, found.e_left, depth + 1)
                 right = grow(right, found.e_right, depth + 1)
                 return Internal(found.candidate, left, right)
-        return Leaf(next(ids), len(view), value, view.indices)
+        return Leaf(next(ids), len(view), value)
 
     return MetaTree(
         root=grow(root_view, root_value, 0),
@@ -336,7 +327,7 @@ def _node_from_doc(doc, ids, where: str) -> Node:
         support = _need(leaf, "support", int, where)
         if size < 0 or support < 0:
             raise TreeFormatError(f"negative count in {where}")
-        return Leaf(next(ids), size, MetricValue(value, support), None)
+        return Leaf(next(ids), size, MetricValue(value, support))
     feature = _need(doc, "feature", int, where)
     kind = _need(doc, "kind", str, where)
     if kind not in ("le", "eq"):

@@ -221,10 +221,11 @@ def naive_best_split(plain, alpha, min_support, value_fn, cap=None, tie_tol=1e-1
 # -- growth reference ---------------------------------------------------------
 
 
-def naive_grow(table, metric, stopping, alpha, max_thresholds=None):
+def naive_grow(table, metric, stopping, alpha, max_thresholds=None, leaf_rows=None):
     """The tree ``build_tree`` should grow, grown by searching each node on a
     fresh ``SubsetView`` of its rows, so every node sorts its columns from
-    scratch instead of partitioning its parent's orders."""
+    scratch instead of partitioning its parent's orders.  Each leaf's rows
+    are appended to ``leaf_rows``, when given, in leaf-id order."""
     config = SearchConfig(alpha, stopping.min_support, max_thresholds)
     ids = itertools.count()
 
@@ -235,7 +236,9 @@ def naive_grow(table, metric, stopping, alpha, max_thresholds=None):
                 left = grow(found.left.indices, found.e_left, depth + 1)
                 right = grow(found.right.indices, found.e_right, depth + 1)
                 return Internal(found.candidate, left, right)
-        return Leaf(next(ids), indices.size, value, indices)
+        if leaf_rows is not None:
+            leaf_rows.append(indices)
+        return Leaf(next(ids), indices.size, value)
 
     rows = np.arange(table.n, dtype=np.int64)
     root = grow(rows, evaluate_indices(metric, table, rows), 0)

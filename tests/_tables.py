@@ -8,7 +8,6 @@ from perfex import (
     ClassSet,
     Feature,
     FeatureSchema,
-    GaussianDensityClassifier,
     GaussianSpec,
     MetricSpec,
     PredictionTable,
@@ -16,6 +15,7 @@ from perfex import (
     predict_table,
 )
 from perfex.dataset import _write_rows
+from perfex.synth import GaussianDensityClassifier
 
 
 def make_table(kinds, columns, y, pred, scores=None, classes=None, categories=None):

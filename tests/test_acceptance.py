@@ -23,6 +23,7 @@ from perfex import (
     MissingScoresError,
     SplitCandidate,
     StoppingRule,
+    assign,
     blob_specs,
     build_tree,
     evaluate_tree,
@@ -62,11 +63,11 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 
 def record_faithfulness(tag: str, tree, table) -> None:
-    leaves = {leaf.leaf_id: leaf for leaf in tree.leaves()}
+    routed = assign(tree, table)
     for st in tree.leaf_stats():
         summaries = summarize_path(st, table.schema)
         rows = np.flatnonzero(leaf_row_mask(summaries, table))
-        ok = np.array_equal(rows, leaves[st.leaf_id].indices)
+        ok = np.array_equal(rows, np.flatnonzero(routed == st.leaf_id))
         FAITHFULNESS.append((tag, st.leaf_id, bool(ok)))
 
 
@@ -173,7 +174,7 @@ def test_criterion_05_blobs_structure():
     tree = build_tree(t1, ACC, LOOSE, alpha=100)
     record_faithfulness("c5", tree, t1)
     rep = evaluate_tree(tree, t1, t2)
-    vals = [leaf.metric.value for leaf in tree.leaves()]
+    vals = [leaf.metric.value for leaf in tree.leaf_stats()]
     ok = (
         max(vals) >= 0.95
         and min(vals) <= 0.85

@@ -661,6 +661,28 @@ def test_an_unwritable_output_exits_one_and_prints_nothing(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
+@pytest.mark.parametrize("command, args, message", [
+    ("fit", ["--out", "same.json", "--explanations-out", "same.json"],
+     "--explanations-out names the same file as --out"),
+    ("fit", ["--out", "./same.json", "--explanations-out", "same.json"],
+     "--explanations-out names the same file as --out"),
+    ("fit", ["--split", "50/50", "--out", "d.json", "--explanations-out", "d_holdout1.csv"],
+     "--explanations-out names the same file as split part d_holdout1.csv"),
+    ("fit", ["--out", "g.csv"], "--out names the same file as --data"),
+    ("evaluate", ["--out", "t.json"], "--out names the same file as --tree"),
+], ids=["out-explanations", "dot-slash", "holdout-explanations", "data-out", "tree-out"])
+def test_an_output_that_names_an_input_or_another_output_exits_one(tmp_path, monkeypatch,
+                                                                     command, args, message):
+    # Checked before anything is read, so no file is created or changed.
+    fit_and_evaluate(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    reads = {"fit": ["fit", "--data", "g.csv"],
+             "evaluate": ["evaluate", "--tree", "t.json", "--build", "g.csv", "--test", "g.csv"]}
+    assert run_main(reads[command] + args) == (1, "", f"perfex {command}: {message}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def deep_table(n):
     """Rows ``x = 0..n-1`` whose predictions get worse with ``x``: with no
     floor on support, every node finds another split, to any depth."""

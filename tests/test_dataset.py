@@ -191,6 +191,13 @@ def test_constructor_rejects_bad_feature_values():
         )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_constructor_names_the_row_of_a_non_finite_score(bad):
+    with pytest.raises(DataFormatError, match=r"^row 2: non-finite score value$"):
+        make_table("n", [[1.0, 2.0, 3.0]], ["a", "b", "a"], ["a", "a", "b"],
+                   scores=[[0.5, 0.5], [bad, 1.0], [bad, 0.0]])
+
+
 def test_constructor_copies_the_callers_arrays():
     col = np.array([1.0, 2.0, 3.0])
     scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])

@@ -16,6 +16,7 @@ from perfex import (
     PredictionTable,
     StoppingRule,
     TreeFormatError,
+    assign,
     build_tree,
     default_phrase,
     leaf_row_mask,
@@ -183,10 +184,11 @@ def test_full_precision_masks_round_trip_the_leaf_rows():
         t = plain_to_table(plain)
         rule = StoppingRule(max_depth=4, min_beta=0.0, confidence_z=1.0, max_interval_width=1.0)
         tree = build_tree(t, MetricSpec.accuracy(), rule, alpha=5)
-        for stats_, leaf in zip(tree.leaf_stats(), tree.leaves()):
+        routed = assign(tree, t)
+        for stats_ in tree.leaf_stats():
             summaries = summarize_path(stats_, t.schema)
             mask = leaf_row_mask(summaries, t)
-            assert np.array_equal(np.flatnonzero(mask), leaf.indices)
+            assert np.array_equal(np.flatnonzero(mask), np.flatnonzero(routed == stats_.leaf_id))
 
 
 # Every combination of a few lengths, both flag values and all colors.

@@ -8,7 +8,6 @@ import pytest
 from perfex import (
     CartClassifier,
     ClassSet,
-    GaussianDensityClassifier,
     GaussianSpec,
     LabeledDataset,
     MetricSpec,
@@ -21,7 +20,7 @@ from perfex import (
     two_gaussian_classifier,
 )
 from perfex.metrics import evaluate
-from perfex.synth import AxisThresholdClassifier, flip_labels
+from perfex.synth import AxisThresholdClassifier, GaussianDensityClassifier, flip_labels
 
 from tests._naive import naive_cart
 from tests._tables import table_to_csv_text

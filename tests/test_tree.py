@@ -111,7 +111,7 @@ def test_worked_example_tree_is_exact():
     assert tree.depth() == 1
     assert isinstance(tree.root, Internal)
     assert (tree.root.candidate.feature, tree.root.candidate.value) == (0, -1.0)
-    leaves = tree.leaves()
+    leaves = tree.leaf_stats()
     assert [leaf.leaf_id for leaf in leaves] == [0, 1]
     assert [leaf.size for leaf in leaves] == [5, 5]
     assert leaves[0].metric.value == 0.4
@@ -174,14 +174,12 @@ def test_leaf_ids_follow_preorder_and_partition_rows():
     t = plain_to_table(plain)
     rule = StoppingRule(max_depth=4, min_beta=0.01, confidence_z=1.0, max_interval_width=1.0)
     tree = build_tree(t, ACC, rule, alpha=5)
-    leaves = tree.leaves()
+    leaves = tree.leaf_stats()
     assert [leaf.leaf_id for leaf in leaves] == list(range(len(leaves)))
-    # keep_leaf_indices: the stored rows are exactly the assigned rows.
     routed = assign(tree, t)
     total = 0
     for leaf in leaves:
         got = np.flatnonzero(routed == leaf.leaf_id)
-        assert np.array_equal(got, leaf.indices)
         assert leaf.size == got.size
         total += leaf.size
     assert total == t.n
@@ -208,8 +206,9 @@ def test_leaf_metric_values_match_recomputation():
     trees, t = grown_trees()
     for tree in trees:
         assert tree.n_leaves > 1
-        for leaf in tree.leaves():
-            again = evaluate_indices(tree.metric, t, leaf.indices)
+        routed = assign(tree, t)
+        for leaf in tree.leaf_stats():
+            again = evaluate_indices(tree.metric, t, np.flatnonzero(routed == leaf.leaf_id))
             # Stored values, not re-derived ones, bit for bit.
             assert bits(leaf.metric) == bits(again), tree.metric.name
 
@@ -242,10 +241,11 @@ def test_no_admissible_split_remains_at_any_leaf():
     t = plain_to_table(plain)
     rule = StoppingRule(max_depth=8, min_beta=0.05, confidence_z=1.0, max_interval_width=1.0)
     tree = build_tree(t, ACC, rule, alpha=5)
-    for stats, leaf in zip(tree.leaf_stats(), tree.leaves()):
+    routed = assign(tree, t)
+    for stats in tree.leaf_stats():
         if len(stats.path) >= rule.max_depth:
             continue
-        view = SubsetView(t, leaf.indices)
+        view = SubsetView(t, np.flatnonzero(routed == stats.leaf_id))
         again = best_split(view, ACC, SearchConfig(alpha=5, min_support=rule.min_support))
         assert again is None or again.beta < rule.min_beta
 
@@ -344,7 +344,7 @@ def test_serialize_round_trip_preserves_everything():
     assert back.alpha == tree.alpha
     assert back.schema_fingerprint == tree.schema_fingerprint
     assert back.n_build == tree.n_build
-    assert [l.leaf_id for l in back.leaves()] == [l.leaf_id for l in tree.leaves()]
+    assert [l.leaf_id for l in back.leaf_stats()] == [l.leaf_id for l in tree.leaf_stats()]
     assert np.array_equal(assign(back, t), assign(tree, t))
 
 
@@ -745,10 +745,14 @@ def test_presorted_growth_matches_searching_each_node_from_scratch(t, name, dept
     assume(evaluate_indices(metric, t, np.arange(t.n)).defined)
     rule = StoppingRule(max_depth=depth, min_beta=0.0, confidence_z=1.0, max_interval_width=1.0)
     got = build_tree(t, metric, rule, alpha=alpha, max_thresholds=cap)
-    want = naive_grow(t, metric, rule, alpha, max_thresholds=cap)
+    rows = []
+    want = naive_grow(t, metric, rule, alpha, max_thresholds=cap, leaf_rows=rows)
     assert serialize_tree(got) == serialize_tree(want)
-    for a, b in zip(got.leaves(), want.leaves()):
-        assert np.array_equal(a.indices, b.indices)
+    # Growth's rows at each leaf are the rows routing sends there.
+    routed = assign(got, t)
+    assert len(rows) == got.n_leaves
+    for leaf_id, want_rows in enumerate(rows):
+        assert np.array_equal(np.flatnonzero(routed == leaf_id), want_rows)
 
 
 # sha256 of the tree JSON on the 20,000-row benchmark table, recorded before
