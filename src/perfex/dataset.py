@@ -15,11 +15,13 @@ order.  Files are UTF-8 with ``.`` as the decimal separator; a pass over a
 file decodes each byte once and drops one leading byte-order mark.  Missing
 cells are rejected at load time; there is no imputation.
 
-Loads and writes stream in chunks of ``_CHUNK_ROWS`` records, so peak memory
-stays near the size of the finished arrays.  A load reads the source once,
-unless an inferred column turns out to hold text only after its first chunk;
-it then reads the source again with that column categorical.  Any error,
-invalid UTF-8 included, is found in the pass that reads the records.
+Loads stream in chunks of ``_CHUNK_ROWS`` records and writes in chunks of
+``_WRITE_ROWS`` rows, so peak memory stays near the size of the finished
+arrays.  A write makes each distinct cell's text once and writes each chunk
+in one call.  A load reads the source once, unless an inferred column turns
+out to hold text only after its first chunk; it then reads the source again
+with that column categorical.  Any error, invalid UTF-8 included, is found
+in the pass that reads the records.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,6 +70,8 @@ class Feature:
                 raise ValueError(f"categorical feature {self.name!r} needs categories")
             if len(set(self.categories)) != len(self.categories):
                 raise ValueError(f"duplicate categories on feature {self.name!r}")
+            if any(not c for c in self.categories):
+                raise ValueError(f"empty category on feature {self.name!r}")
         elif self.categories:
             raise ValueError(f"categories given for non-categorical feature {self.name!r}")
 
@@ -83,6 +88,8 @@ class FeatureSchema:
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature names in schema")
+        if TRUE_COLUMN in names:  # the CSV layout finds the label columns by this name
+            raise ValueError(f"feature name {TRUE_COLUMN!r} is reserved")
         object.__setattr__(self, "features", tuple(self.features))
 
     @property
@@ -360,8 +367,7 @@ class SubsetView:
 
 # -- CSV loading ----------------------------------------------------------
 
-# Records per chunk: a load holds the strings of one chunk at a time, a
-# write the Python values of one chunk.
+# Records per chunk of a load, which holds the strings of one chunk at a time.
 _CHUNK_ROWS = 8192
 
 
@@ -632,32 +638,53 @@ def load_table(
 
 # -- CSV writing ----------------------------------------------------------
 
+# Rows per chunk of a write, which holds the cell text of one chunk at a time.
+_WRITE_ROWS = 2048
+
 
 def _write_rows(table: PredictionTable, handle) -> None:
-    """Write ``table`` as CSV text to ``handle``, ``_CHUNK_ROWS`` rows at a time."""
+    """Write ``table`` as CSV text to ``handle``, ``_WRITE_ROWS`` rows at a
+    time, each chunk in one call.  Each distinct cell's text is made once:
+    each label and category per table, quoted by ``csv.writer`` itself; each
+    distinct float per chunk, by ``repr``, the shortest text that reads back
+    exactly, as ``csv.writer`` writes a float."""
     header = list(table.schema.names) + [TRUE_COLUMN, PRED_COLUMN]
     if table.scores is not None:
         header += [SCORE_PREFIX + lbl for lbl in table.classes.labels]
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
+    csv.writer(handle, lineterminator="\n").writerow(header)
 
     def text(names, codes):
         return list(map(names.__getitem__, codes.tolist()))
 
-    # Numbers go out as Python floats, which csv writes with repr(): the
-    # shortest text that reads back exactly.
-    for start in range(0, table.n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
+    def quoted(names):
+        # Each name is the second field of a two-field record, since
+        # csv.writer writes a record of one empty field as '""'.
+        records: list[str] = []
+        writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\n")
+        writer.writerows(("", name) for name in names)
+        return [record[1:-1] for record in records]
+
+    def numbers(column):
+        # Keyed by bits, so -0.0 and 0.0 keep their own text.
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if bits.size == column.size:
+            return list(map(repr, column.tolist()))
+        return text(list(map(repr, bits.view(np.float64).tolist())), inverse)
+
+    categories = {j: quoted(f.categories) for j, f in enumerate(table.schema.features)
+                  if f.kind == CATEGORICAL}
+    labels = quoted(table.classes.labels)
+    for start in range(0, table.n, _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
         columns = [
-            text(f.categories, table.column(j)[rows]) if f.kind == CATEGORICAL
-            else table.column(j)[rows].tolist()
-            for j, f in enumerate(table.schema.features)
+            text(categories[j], table.column(j)[rows]) if j in categories
+            else numbers(table.column(j)[rows])
+            for j in range(table.m)
         ]
-        columns += [text(table.classes.labels, table.y_codes[rows]),
-                    text(table.classes.labels, table.pred_codes[rows])]
+        columns += [text(labels, table.y_codes[rows]), text(labels, table.pred_codes[rows])]
         if table.scores is not None:
-            columns += table.scores[rows].T.tolist()
-        writer.writerows(zip(*columns))
+            columns += map(numbers, table.scores[rows].T)
+        handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_csv(table: PredictionTable, path) -> None:

@@ -6,10 +6,10 @@ between the two sides is evidence, not tautology.  The split-search oracle
 takes the side-value function as a parameter; passing the package's metric
 evaluator makes betas bit-comparable while the search logic stays
 independent.  The CSV loader reference parses and checks every cell itself
-and shares only ``PredictionTable``'s own checks with the package.  The
-growth reference is the exception: it calls the package's split search, but
-on a fresh view at every node, so that no node inherits its parent's sorted
-orders.
+and shares only ``PredictionTable``'s own checks with the package; the CSV
+writer reference hands every row to ``csv.writer``.  The growth reference
+is the exception: it calls the package's split search, but on a fresh view
+at every node, so that no node inherits its parent's sorted orders.
 """
 
 import csv
@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from perfex.dataset import (
+    _CHUNK_ROWS,
     BINARY,
     CATEGORICAL,
     NUMERIC,
@@ -402,10 +403,12 @@ def plain_rows(plain):
 
 # -- CSV loader reference ----------------------------------------------------
 #
-# The whole-text loader the streamed ``load_table`` replaced, kept verbatim:
-# every cell goes through ``_parse_float`` after the whole file is decoded,
-# split into records and transposed.  The streamed loader must return the
-# same table, or raise the same exception with the same message.
+# The whole-text loader the streamed ``load_table`` replaced, kept verbatim
+# but for one change: a feature's kind is inferred when its column is
+# checked, since ``Feature`` rejects an empty category.  Every cell goes
+# through ``_parse_float`` after the whole file is decoded, split into
+# records and transposed.  The streamed loader must return the same table,
+# or raise the same exception with the same message.
 
 
 def _parse_float(cell: str, row: int, column: str) -> float:
@@ -455,6 +458,7 @@ def _infer_feature(name: str, cells) -> Feature:
     try:
         distinct = set(map(float, cells))
     except ValueError:
+        _require_cells(cells, name)  # an empty cell is a missing value, not a category
         return Feature(name, CATEGORICAL, tuple(sorted(set(cells))))
     return Feature(name, BINARY if distinct <= {0.0, 1.0} else NUMERIC)
 
@@ -556,18 +560,21 @@ def naive_load_table(
     del rows  # the columns hold the same strings; free the row lists early
 
     raw_features = cells[:true_at]
-    if schema is None:
-        schema = FeatureSchema(tuple(map(_infer_feature, feature_names, raw_features)))
-    elif schema.names != tuple(feature_names):
+    if schema is not None and schema.names != tuple(feature_names):
         raise DataFormatError("schema feature names do not match the CSV header")
 
-    columns = []
-    for feature, raw in zip(schema.features, raw_features):
+    # A feature's kind is inferred when its column is checked, so the
+    # columns' errors still come left to right.
+    features, columns = [], []
+    for j, (name, raw) in enumerate(zip(feature_names, raw_features)):
+        feature = _infer_feature(name, raw) if schema is None else schema.features[j]
         if feature.kind == CATEGORICAL:
             _require_cells(raw, feature.name)
             columns.append(raw)
         else:
             columns.append(_parse_column(raw, feature.name))
+        features.append(feature)
+    schema = FeatureSchema(tuple(features))
 
     y_true, y_pred = cells[true_at], cells[true_at + 1]
     _require_cells(y_true, TRUE_COLUMN)
@@ -592,3 +599,37 @@ def naive_load_table(
         scores,
         scores_are_probabilities=scores_are_probabilities,
     )
+
+
+# -- CSV writer reference ----------------------------------------------------
+#
+# The row writer ``write_csv`` used before it made each distinct cell's text
+# once, kept verbatim: ``csv.writer`` quotes every label and category cell and
+# writes every float with ``repr``.  The writer must produce the same text.
+
+
+def naive_write_rows(table: PredictionTable, handle) -> None:
+    """Write ``table`` as CSV text to ``handle``, ``_CHUNK_ROWS`` rows at a time."""
+    header = list(table.schema.names) + [TRUE_COLUMN, PRED_COLUMN]
+    if table.scores is not None:
+        header += [SCORE_PREFIX + lbl for lbl in table.classes.labels]
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+
+    def text(names, codes):
+        return list(map(names.__getitem__, codes.tolist()))
+
+    # Numbers go out as Python floats, which csv writes with repr(): the
+    # shortest text that reads back exactly.
+    for start in range(0, table.n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        columns = [
+            text(f.categories, table.column(j)[rows]) if f.kind == CATEGORICAL
+            else table.column(j)[rows].tolist()
+            for j, f in enumerate(table.schema.features)
+        ]
+        columns += [text(table.classes.labels, table.y_codes[rows]),
+                    text(table.classes.labels, table.pred_codes[rows])]
+        if table.scores is not None:
+            columns += table.scores[rows].T.tolist()
+        writer.writerows(zip(*columns))

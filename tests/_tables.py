@@ -55,6 +55,23 @@ def worked_example_table():
     return PredictionTable(feats, ClassSet(("a", "b")), [WORKED_Z], y, pred)
 
 
+def hostile_table():
+    """60 rows with a numeric, a binary and a categorical feature, three
+    classes and scores; a depth-3 accuracy tree splits on all three."""
+    rng = np.random.default_rng(3)
+    n, labels = 60, ("a", "b", "c")
+    x = rng.normal(size=n).round(3)
+    flag = rng.integers(0, 2, n)
+    color = rng.choice(["red", "green", "blue"], n)
+    y = rng.choice(labels, n)
+    correct = (color == "red") | ((flag == 1) & (x > 0))
+    pred = np.where(correct, y, np.where(y == "a", "b", "a"))
+    scores = np.full((n, 3), 0.1)
+    scores[np.arange(n), [labels.index(p) for p in pred]] = 0.8
+    columns = [x.tolist(), flag.astype(float).tolist(), color.tolist()]
+    return make_table("nbc", columns, y.tolist(), pred.tolist(), scores, classes=labels)
+
+
 def plain_to_table(plain):
     """Build the real PredictionTable for a random plain table."""
     feats = []

@@ -1,5 +1,6 @@
 """Tables, CSV round-trips, row splitting, stratified partitioning."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -19,10 +20,18 @@ from perfex import (
     UnknownClassError,
     load_table,
     stratified_split,
+    write_csv,
 )
 from perfex.dataset import stratified_split_indices
 
-from tests._tables import make_table, table_to_csv_text, tables_equal, worked_example_table
+from tests._tables import (
+    baseline_table,
+    hostile_table,
+    make_table,
+    table_to_csv_text,
+    tables_equal,
+    worked_example_table,
+)
 
 CSV_SMALL = b"""length,color,__true__,__pred__
 1.5,red,a,a
@@ -240,7 +249,9 @@ def test_roundtrip_full_float_precision(tmp_path):
 # Values a CSV round trip is most likely to bend: signed zero, the smallest
 # subnormal, the largest float, a sum with a long repr, and text that needs
 # quoting or is not ASCII.  "nan" and "1" are categories here, not numbers.
+# Two more columns repeat values: -0.0 beside 0.0 and 5e-324, and one value.
 AWKWARD_NUMBERS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2]
+AWKWARD_REPEATS = [-0.0, 0.0, 5e-324]
 AWKWARD_SCORES = [-0.0, 0.0, 5e-324, 0.1 + 0.2, 1.0]
 AWKWARD_TEXT = ["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", " leading", "naïve", "日本語",
                 "nan", "1"]
@@ -261,11 +272,14 @@ def awkward_tables(draw):
         Feature('x, "quoted"', "numeric"),
         Feature("flag", "binary"),
         Feature("naïve cat", "categorical", tuple(cats)),
+        Feature("zeros", "numeric"),
+        Feature("one value", "numeric"),
     ))
     return PredictionTable(
         schema,
         ClassSet(tuple(labels)),
-        [column(numbers), column(st.sampled_from([0.0, -0.0, 1.0])), column(st.sampled_from(cats))],
+        [column(numbers), column(st.sampled_from([0.0, -0.0, 1.0])), column(st.sampled_from(cats)),
+         column(st.sampled_from(AWKWARD_REPEATS)), [draw(numbers)] * n],
         column(st.sampled_from(labels)),
         column(st.sampled_from(labels)),
         column(st.lists(score, min_size=len(labels), max_size=len(labels))),
@@ -280,10 +294,33 @@ def test_csv_roundtrip_keeps_awkward_values(t):
     back = load_table(text.encode("utf-8"), schema=t.schema, scores_are_probabilities=False)
     assert tables_equal(back, t)
     # tables_equal() sees -0.0 == 0.0, so compare signs too.
-    for a, b in ((back.column(0), t.column(0)), (back.column(1), t.column(1)),
-                 (back.scores, t.scores)):
+    numbers = [j for j, f in enumerate(t.schema.features) if f.kind != "categorical"]
+    for a, b in [(back.column(j), t.column(j)) for j in numbers] + [(back.scores, t.scores)]:
         assert np.array_equal(np.signbit(a), np.signbit(b))
     assert table_to_csv_text(back) == text
+
+
+# sha256 of write_csv's bytes, recorded before the writer made each distinct
+# cell's text once: the benchmark table (numbers and scores) and the hostile
+# table (numeric, binary and categorical features, scores).  Both come from
+# numpy's generators, so the digests hold for the numpy version they were
+# recorded with, the one perfbench/digests.json was recorded with.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_CSVS = {
+    "baseline_table(20000)": "084a000bd7bb8739a76784ef3288d0fa4ca81939b3c820560fc9ae79a74f2879",
+    "hostile_table()": "45924bb02703b7c5567a2d3104dac4a58773016e9ccc5e52502647ab4c550b7f",
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != GOLDEN_NUMPY,
+    reason=f"golden CSVs were recorded with numpy {GOLDEN_NUMPY}, this is {np.__version__}",
+)
+def test_golden_csvs_of_the_benchmark_and_hostile_tables(tmp_path):
+    tables = {"baseline_table(20000)": baseline_table(20_000), "hostile_table()": hostile_table()}
+    for name, digest in GOLDEN_CSVS.items():
+        write_csv(tables[name], tmp_path / "t.csv")
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest, name
 
 
 def test_load_names_the_first_bad_cell_in_column_order():
@@ -315,6 +352,29 @@ def test_schema_validation():
         ClassSet(("a",))
     with pytest.raises(ValueError):
         ClassSet(("a", "a"))
+
+
+def test_an_empty_category_is_rejected():
+    # write_csv would write it as an empty cell, which load_table reads as a
+    # missing value.
+    with pytest.raises(ValueError, match="^empty category on feature 'c'$"):
+        Feature("c", "categorical", ("red", ""))
+
+
+def test_a_feature_may_not_take_the_name_of_the_true_label_column():
+    # The CSV layout finds the label columns by this name.
+    with pytest.raises(ValueError, match="^feature name '__true__' is reserved$"):
+        FeatureSchema((Feature("x", "numeric"), Feature("__true__", "numeric")))
+    # The other label and score column names read back as feature names.
+    t = PredictionTable(
+        FeatureSchema((Feature("__pred__", "numeric"),
+                       Feature("__score_a", "categorical", ("u", "v")))),
+        ClassSet(("a", "b")),
+        [[0.5, 2.0, -1.0], ["v", "u", "v"]],
+        ["a", "b", "a"],
+        ["b", "b", "a"],
+    )
+    assert tables_equal(load_table(table_to_csv_text(t).encode("utf-8")), t)
 
 
 def test_subset_view_contract():

@@ -44,6 +44,7 @@ from tests._subprocess import child_env
 from tests._tables import (
     baseline_table,
     desc_to_spec,
+    hostile_table,
     make_table,
     plain_to_table,
     worked_example_table,
@@ -533,23 +534,6 @@ def test_any_valid_stopping_rule_round_trips_byte_for_byte(rule):
     back = deserialize_tree(text)
     assert back.stopping == rule
     assert serialize_tree(back) == text
-
-
-def hostile_table():
-    """60 rows with a numeric, a binary and a categorical feature, three
-    classes and scores; a depth-3 accuracy tree splits on all three."""
-    rng = np.random.default_rng(3)
-    n, labels = 60, ("a", "b", "c")
-    x = rng.normal(size=n).round(3)
-    flag = rng.integers(0, 2, n)
-    color = rng.choice(["red", "green", "blue"], n)
-    y = rng.choice(labels, n)
-    correct = (color == "red") | ((flag == 1) & (x > 0))
-    pred = np.where(correct, y, np.where(y == "a", "b", "a"))
-    scores = np.full((n, 3), 0.1)
-    scores[np.arange(n), [labels.index(p) for p in pred]] = 0.8
-    columns = [x.tolist(), flag.astype(float).tolist(), color.tolist()]
-    return make_table("nbc", columns, y.tolist(), pred.tolist(), scores, classes=labels)
 
 
 HOSTILE_TABLE = hostile_table()
