@@ -12,19 +12,19 @@ from perfex import (
     MetricSpec,
     StoppingRule,
     build_tree,
-    evaluate_metric,
     predict_table,
     preset_example2d,
     render,
     summarize_path,
 )
+from perfex.metrics import evaluate
 
 
 def main():
     data, classifier = preset_example2d(seed=0)
     table = predict_table(classifier, data)
 
-    overall = evaluate_metric(MetricSpec.accuracy(), table.full_view())
+    overall = evaluate(MetricSpec.accuracy(), table.full_view())
     print(f"rows: {table.n}")
     print(f"overall accuracy: {overall.value:.3f}")
     print()

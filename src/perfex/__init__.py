@@ -15,7 +15,6 @@ from .dataset import (
     Feature,
     FeatureSchema,
     PredictionTable,
-    SubsetView,
     load_table,
     stratified_split,
     write_csv,
@@ -39,12 +38,7 @@ from .explain import (
     summarize_path,
 )
 from .metrics import MetricSpec, MetricValue, parse_metric
-from .metrics import evaluate as evaluate_metric
-from .splitter import (
-    SearchConfig,
-    SplitCandidate,
-    best_split,
-)
+from .splitter import SearchConfig, SplitCandidate
 from .synth import (
     CartClassifier,
     GaussianSpec,
@@ -64,7 +58,6 @@ from .tree import (
     assign,
     build_tree,
     deserialize_tree,
-    min_samples,
     serialize_tree,
 )
 
@@ -96,23 +89,19 @@ __all__ = [
     "SearchConfig",
     "SplitCandidate",
     "StoppingRule",
-    "SubsetView",
     "TreeFormatError",
     "UndefinedMetricError",
     "UnknownClassError",
     "assign",
-    "best_split",
     "blob_specs",
     "build_tree",
     "default_phrase",
     "deserialize_tree",
-    "evaluate_metric",
     "evaluate_tree",
     "generate_blobs",
     "generate_two_gaussian",
     "leaf_row_mask",
     "load_table",
-    "min_samples",
     "parse_metric",
     "predict_table",
     "preset_example2d",

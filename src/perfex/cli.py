@@ -79,7 +79,7 @@ def _split_arg(text: str) -> tuple[float, ...]:
     try:
         shares = [float(p) for p in text.split("/")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad split {text!r}, expected e.g. 50/25/25")
+        shares = []
     if len(shares) < 2 or not all(0 < s < math.inf for s in shares):  # NaN fails too
         raise argparse.ArgumentTypeError(f"bad split {text!r}, expected e.g. 50/25/25")
     total = sum(shares)

@@ -251,9 +251,9 @@ class PredictionTable:
             bad = ~np.isfinite(sc).all(axis=1)
             if bad.any():
                 raise DataFormatError("non-finite score value", row=int(np.flatnonzero(bad)[0]) + 1)
-            if ((sc < 0.0) | (sc > 1.0)).any():
-                bad_row = int(np.flatnonzero(((sc < 0.0) | (sc > 1.0)).any(axis=1))[0])
-                raise DataFormatError("score outside [0, 1]", row=bad_row + 1)
+            bad = ((sc < 0.0) | (sc > 1.0)).any(axis=1)
+            if bad.any():
+                raise DataFormatError("score outside [0, 1]", row=int(np.flatnonzero(bad)[0]) + 1)
             if self.scores_are_probabilities and n > 0:
                 sums = sc.sum(axis=1)
                 off = np.abs(sums - 1.0) > SCORE_SUM_TOLERANCE
@@ -645,14 +645,9 @@ _WRITE_ROWS = 2048
 def _write_rows(table: PredictionTable, handle) -> None:
     """Write ``table`` as CSV text to ``handle``, ``_WRITE_ROWS`` rows at a
     time, each chunk in one call.  Each distinct cell's text is made once:
-    each label and category per table, quoted by ``csv.writer`` itself; each
-    distinct float per chunk, by ``repr``, the shortest text that reads back
-    exactly, as ``csv.writer`` writes a float."""
-    header = list(table.schema.names) + [TRUE_COLUMN, PRED_COLUMN]
-    if table.scores is not None:
-        header += [SCORE_PREFIX + lbl for lbl in table.classes.labels]
-    csv.writer(handle, lineterminator="\n").writerow(header)
-
+    the header and each label and category per table, quoted by
+    ``csv.writer`` itself; each distinct float per chunk, by ``repr``, the
+    shortest text that reads back exactly, as ``csv.writer`` writes a float."""
     def text(names, codes):
         return list(map(names.__getitem__, codes.tolist()))
 
@@ -671,6 +666,10 @@ def _write_rows(table: PredictionTable, handle) -> None:
             return list(map(repr, column.tolist()))
         return text(list(map(repr, bits.view(np.float64).tolist())), inverse)
 
+    header = list(table.schema.names) + [TRUE_COLUMN, PRED_COLUMN]
+    if table.scores is not None:
+        header += [SCORE_PREFIX + lbl for lbl in table.classes.labels]
+    handle.write(",".join(quoted(header)) + "\n")
     categories = {j: quoted(f.categories) for j, f in enumerate(table.schema.features)
                   if f.kind == CATEGORICAL}
     labels = quoted(table.classes.labels)

@@ -191,7 +191,4 @@ def default_phrase(metric) -> str:
         return kind.replace("_", " ")
     if kind == "ece":
         return "the expected calibration error"
-    if kind == "mean_min_score":
-        joined = ", ".join(metric.class_subset)
-        return f"the mean minimum score over classes {joined}"
-    return "the metric value"
+    return f"the mean minimum score over classes {', '.join(metric.class_subset)}"

@@ -12,6 +12,10 @@ Metric selection strings
 ``weighted_precision`` | ``weighted_recall`` | ``weighted_f1`` |
 ``ece:<bins>`` (1 to ``MAX_ECE_BINS``) | ``mean_min_score:<class>,<class>[,...]``
 
+:func:`parse_metric` only splits a name; :class:`MetricSpec` checks it.
+A class label is read verbatim, spaces included, so ``parse_metric(spec.name)
+== spec``; a mean_min_score label can be neither empty nor hold a comma.
+
 Each metric is defined once, as per-row statistics (:class:`MetricStats`).
 One grouped call, :meth:`MetricStats.exact`, gives every exact value: a
 row set's, a split's two sides in growth, or a held-out table's leaves.
@@ -79,9 +83,9 @@ class MetricSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
+            raise ValueError(f"unknown metric {self.kind!r}")
         if self.kind in _CLASS_KINDS and not self.class_label:
-            raise ValueError(f"{self.kind} needs a class label")
+            raise ValueError(f"metric {self.kind!r} needs a class label, e.g. {self.kind}:a")
         if self.kind == ECE and self.bins < 1:
             raise ValueError("ece needs at least one bin")
         if self.kind == ECE and self.bins > MAX_ECE_BINS:
@@ -91,6 +95,12 @@ class MetricSpec:
                 raise ValueError("mean_min_score needs at least two classes")
             if len(set(self.class_subset)) != len(self.class_subset):
                 raise ValueError("duplicate class in mean_min_score subset")
+            if any(not lbl or "," in lbl for lbl in self.class_subset):
+                raise ValueError("a mean_min_score class label is empty or holds ','")
+        # Only the kind's own argument, so that ``name`` holds all of a spec.
+        own = (self.kind in _CLASS_KINDS, self.kind == ECE, self.kind == MEAN_MIN_SCORE)
+        if (self.class_label is not None, self.bins != 0, self.class_subset != ()) != own:
+            raise ValueError(f"metric {self.kind!r} was given an argument it does not take")
 
     # -- factories ---------------------------------------------------------
 
@@ -143,31 +153,24 @@ class MetricSpec:
 
 
 def parse_metric(text: str) -> MetricSpec:
-    """Parse a metric selection string into a :class:`MetricSpec`."""
-    text = text.strip()
+    """Split a metric selection string into a :class:`MetricSpec`, which
+    checks it.  Spaces around the kind are dropped; an argument is verbatim."""
     kind, sep, arg = text.partition(":")
-    if kind in (ACCURACY,) + _WEIGHTED_KINDS:
-        if sep:
-            raise ValueError(f"metric {kind!r} takes no argument")
-        return MetricSpec(kind)
-    if kind in _CLASS_KINDS:
-        if not arg:
-            raise ValueError(f"metric {kind!r} needs a class label, e.g. {kind}:a")
-        return MetricSpec(kind, class_label=arg)
+    kind = kind.strip()
     if kind == ECE:
-        if not sep:
-            return MetricSpec.ece()
         try:
-            bins = int(arg)
+            bins = int(arg) if sep else DEFAULT_ECE_BINS
         except ValueError:
             raise ValueError(f"ece bin count {arg!r} is not an integer") from None
-        return MetricSpec.ece(bins)
+        return MetricSpec(ECE, bins=bins)
     if kind == MEAN_MIN_SCORE:
-        labels = [part for part in arg.split(",") if part] if arg else []
-        if len(labels) < 2:
-            raise ValueError("mean_min_score needs at least two class labels")
-        return MetricSpec.mean_min_score(labels)
-    raise ValueError(f"unknown metric {text!r}")
+        return MetricSpec(kind, class_subset=tuple(arg.split(",")))
+    if kind in _CLASS_KINDS:
+        return MetricSpec(kind, class_label=arg)
+    spec = MetricSpec(kind)
+    if sep:
+        raise ValueError(f"metric {kind!r} takes no argument")
+    return spec
 
 
 # -- evaluation -------------------------------------------------------------

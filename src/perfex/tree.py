@@ -317,9 +317,7 @@ def _need(doc: dict, key: str, types, where: str):
     return v
 
 
-def _node_from_doc(doc, ids, where: str) -> Node:
-    if not isinstance(doc, dict):
-        raise TreeFormatError(f"node at {where} is not an object")
+def _node_from_doc(doc: dict, ids, where: str) -> Node:
     if "leaf" in doc:
         leaf = doc["leaf"]
         size = _need(leaf, "size", int, where)
@@ -366,6 +364,7 @@ def deserialize_tree(text: str | bytes) -> MetaTree:
     alpha = _need(doc, "alpha", int, "document")
     stop_doc = _need(doc, "stopping", dict, "document")
     try:
+        SearchConfig(alpha=alpha)
         stopping = StoppingRule(
             **{f.name: _need(stop_doc, f.name, type(f.default), "stopping")
                for f in fields(StoppingRule)}
@@ -374,6 +373,8 @@ def deserialize_tree(text: str | bytes) -> MetaTree:
         raise TreeFormatError(str(exc)) from None
     fingerprint = _need(doc, "schema_fingerprint", str, "document")
     n_build = _need(doc, "n_build", int, "document")
+    if n_build < 0:
+        raise TreeFormatError("negative count in document")
     ids = itertools.count()
     try:
         root = _node_from_doc(_need(doc, "root", dict, "document"), ids, "root")

@@ -30,7 +30,6 @@ from perfex import (
     generate_blobs,
     generate_two_gaussian,
     leaf_row_mask,
-    min_samples,
     predict_table,
     preset_example2d,
     render,
@@ -39,7 +38,7 @@ from perfex import (
     two_gaussian_classifier,
 )
 from perfex.metrics import MetricValue, evaluate, evaluate_indices
-from perfex.tree import Internal, Leaf, LeafStats
+from perfex.tree import Internal, Leaf, LeafStats, min_samples
 
 from tests._naive import (
     all_metric_descs,
@@ -214,7 +213,7 @@ def test_criterion_06_example2d_structure():
 
 
 def test_criterion_07_split_search_oracle_equivalence():
-    from perfex import SearchConfig, best_split
+    from perfex.splitter import SearchConfig, best_split
 
     def value_fn(spec, table):
         def fn(idx_list):

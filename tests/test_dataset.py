@@ -16,13 +16,12 @@ from perfex import (
     FeatureSchema,
     PredictionTable,
     SplitCandidate,
-    SubsetView,
     UnknownClassError,
     load_table,
     stratified_split,
     write_csv,
 )
-from perfex.dataset import stratified_split_indices
+from perfex.dataset import SubsetView, stratified_split_indices
 
 from tests._tables import (
     baseline_table,
@@ -82,7 +81,8 @@ def test_load_accepts_path_bytes_and_file(tmp_path):
     a = load_table(p)
     b = load_table(CSV_SMALL)
     c = load_table(io.BytesIO(CSV_SMALL))
-    assert tables_equal(a, b) and tables_equal(b, c)
+    d = load_table(io.StringIO(CSV_SMALL.decode()))
+    assert tables_equal(a, b) and tables_equal(b, c) and tables_equal(c, d)
 
 
 def test_load_errors_carry_1based_row():
@@ -331,12 +331,16 @@ def test_load_names_the_first_bad_cell_in_column_order():
         load_table(bad_scores)
     with pytest.raises(DataFormatError, match=r"^row 2: non-finite value in column '__score_b'$"):
         load_table(head + b"1,a,a,0.5,0.5\n2,a,b,0.5,inf\n")
+    with pytest.raises(DataFormatError, match=r"^row 1: missing value in column '__score_a'$"):
+        load_table(head + b"1,a,a,,0.5\n2,a,b,0.5,0.5\n")
     with pytest.raises(DataFormatError, match=r"^row 2: missing value in column '__pred__'$"):
         load_table(b"x,__true__,__pred__\n1,a,a\n2,b,\n")
     # Feature columns come before the label columns.
     num = FeatureSchema((Feature("x", "numeric"),))
     with pytest.raises(DataFormatError, match=r"^row 3: cannot parse 'bad' in column 'x' as a number$"):
         load_table(b"x,__true__,__pred__\n1,,a\n2,a,b\nbad,b,b\n", schema=num)
+    with pytest.raises(DataFormatError, match=r"^row 2: missing value in column 'x'$"):
+        load_table(b"x,__true__,__pred__\n1,a,a\n,a,b\n", schema=num)
 
 
 def test_schema_validation():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perfex import (
@@ -15,7 +15,7 @@ from perfex import (
     PredictionTable,
     parse_metric,
 )
-from perfex.metrics import MAX_ECE_BINS, MetricStats, evaluate, evaluate_indices
+from perfex.metrics import KINDS, MAX_ECE_BINS, MetricStats, evaluate, evaluate_indices
 
 from tests._naive import NeedsScores, all_metric_descs, naive_metric, plain_rows, random_plain_table
 from tests._tables import desc_to_spec, worked_example_table, make_table, plain_to_table
@@ -231,6 +231,10 @@ def test_parse_metric_round_trips():
         "ece:3",
         "mean_min_score:a,b",
         "mean_min_score:a,b,c",
+        "precision:a ",
+        "recall: b",
+        "f1:a:b",
+        "mean_min_score: a,b:c",
     ]
     for name in names:
         assert parse_metric(name).name == name
@@ -247,6 +251,9 @@ def test_parse_metric_rejects_malformed():
         "mean_min_score:a",
         "weighted_f1:a",
         "",
+        "nope:x",
+        "mean_min_score:a,,b",
+        "mean_min_score:a,b,",
     ]
     for text in bad:
         with pytest.raises(ValueError):
@@ -254,7 +261,9 @@ def test_parse_metric_rejects_malformed():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown metric 'nope'$"):
+        MetricSpec("nope")
+    with pytest.raises(ValueError, match=r"needs a class label, e\.g\. precision:a$"):
         MetricSpec("precision")
     with pytest.raises(ValueError):
         MetricSpec.ece(0)
@@ -262,6 +271,15 @@ def test_spec_validation():
         MetricSpec.mean_min_score(("a",))
     with pytest.raises(ValueError):
         MetricSpec.mean_min_score(("a", "a"))
+    for subset in (("a,b", "c"), ("a", "")):
+        with pytest.raises(ValueError, match="empty or holds ','"):
+            MetricSpec.mean_min_score(subset)
+    strays = [("accuracy", {"class_label": "a"}), ("precision", {"class_label": "a", "bins": 3}),
+              ("ece", {"bins": 3, "class_subset": ("a", "b")}),
+              ("mean_min_score", {"class_subset": ("a", "b"), "class_label": "a"})]
+    for kind, fields in strays:
+        with pytest.raises(ValueError, match="an argument it does not take"):
+            MetricSpec(kind, **fields)
     with pytest.raises(ValueError):
         MetricSpec.weighted("accuracy")
     with pytest.raises(ValueError, match=f"ece takes at most {MAX_ECE_BINS} bins"):
@@ -269,6 +287,35 @@ def test_spec_validation():
     assert MetricSpec.ece(MAX_ECE_BINS).bins == MAX_ECE_BINS
     assert MetricSpec.ece(5).requires_scores
     assert not MetricSpec.accuracy().requires_scores
+
+
+# Labels with the characters a name could trip on: spaces, ':' and ','.
+LABELS = st.text(st.sampled_from("ab :,\t"), max_size=4)
+ARGUMENTS = {
+    "class_label": LABELS,
+    "bins": st.integers(-1, MAX_ECE_BINS + 1),
+    "class_subset": st.lists(LABELS, max_size=4).map(tuple),
+}
+OWN_ARGUMENT = {"precision": "class_label", "recall": "class_label", "f1": "class_label",
+                "ece": "bins", "mean_min_score": "class_subset"}
+
+
+@st.composite
+def accepted_specs(draw):
+    """Any spec the constructor accepts: a kind and its own argument, if any,
+    drawn; a stray argument is rejected (test_spec_validation)."""
+    kind = draw(st.sampled_from(KINDS))
+    own = OWN_ARGUMENT.get(kind)
+    try:
+        return MetricSpec(kind, **({own: draw(ARGUMENTS[own])} if own else {}))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(accepted_specs())
+def test_every_accepted_spec_reads_back_from_its_name(spec):
+    assert parse_metric(spec.name) == spec
 
 
 def test_parse_metric_bounds_the_ece_bin_count():

@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfex import (
-    MetricSpec,
-    SearchConfig,
-    best_split,
-)
+from perfex import MetricSpec, SearchConfig
 from perfex.metrics import evaluate_indices
-from perfex.splitter import _conditions, _thresholds
+from perfex.splitter import _conditions, _thresholds, best_split
 
 from tests._naive import naive_best_split, naive_thresholds, random_plain_table
 from tests._tables import WORKED_CORRECT, WORKED_Z, worked_example_table, make_table, plain_to_table

@@ -20,28 +20,28 @@ from perfex import (
     SearchConfig,
     SplitCandidate,
     StoppingRule,
-    SubsetView,
     TreeFormatError,
     UndefinedMetricError,
     assign,
-    best_split,
     build_tree,
     deserialize_tree,
     evaluate_tree,
-    min_samples,
     parse_metric,
     serialize_tree,
     summarize_path,
     write_csv,
 )
-from perfex.dataset import ClassSet, Feature, FeatureSchema, PredictionTable
+from perfex.dataset import ClassSet, Feature, FeatureSchema, PredictionTable, SubsetView
 from perfex.metrics import KINDS, MetricStats, evaluate_indices
 from perfex import tree as tree_module
-from perfex.tree import Internal, Leaf
+from perfex.splitter import best_split
+from perfex.tree import Internal, Leaf, min_samples
 
 from tests._naive import all_metric_descs, naive_grow, random_plain_table
 from tests._subprocess import child_env
 from tests._tables import (
+    WORKED_CORRECT,
+    WORKED_Z,
     baseline_table,
     desc_to_spec,
     hostile_table,
@@ -349,6 +349,16 @@ def test_serialize_round_trip_preserves_everything():
     assert np.array_equal(assign(back, t), assign(tree, t))
 
 
+def test_a_metric_on_a_class_label_with_spaces_reads_back_and_evaluates():
+    # The tree file names the metric "precision:a ", which must name class 'a ', not 'a'.
+    pred = ["a " if ok else "b" for ok in WORKED_CORRECT]
+    t = make_table("n", [WORKED_Z], ["a "] * 5 + ["b"] * 5, pred)
+    tree = build_tree(t, MetricSpec.precision("a "), LOOSE, alpha=1)
+    back = deserialize_tree(serialize_tree(tree))
+    assert back.metric == tree.metric
+    assert evaluate_tree(back, t, t).metric == "precision:a "
+
+
 def test_serialized_form_is_canonical_json():
     t = worked_example_table()
     tree = build_tree(t, ACC, LOOSE, alpha=1)
@@ -404,6 +414,8 @@ def test_deserialize_rejects_malformed_documents():
         lambda d: d.pop("metric"),
         lambda d: d.update(metric="nope"),
         lambda d: d.update(alpha="1"),
+        lambda d: d.update(alpha=-5),
+        lambda d: d.update(n_build=-1),
         lambda d: d["stopping"].pop("min_beta"),
         lambda d: d["stopping"].update(max_depth=0),
         lambda d: d["stopping"].update(confidence_z=1e200),  # z * z overflows
@@ -622,6 +634,8 @@ HOSTILE_DOCS = {
     "no-root": json.dumps({k: v for k, v in json.loads(HOSTILE_TREE).items() if k != "root"}),
     "null-stopping": edited(stopping=None),
     "string-version": edited(format_version="1"),
+    "negative-alpha": edited(alpha=-5),
+    "negative-n-build": edited(n_build=-1),
     "feature-out-of-range": HOSTILE_TREE.replace('"feature":1', '"feature":99'),
     "unknown-category": HOSTILE_TREE.replace('"value":"red"', '"value":"purple"'),
     "nan-threshold": HOSTILE_TREE.replace('"value":-0.053', '"value":NaN'),
